@@ -10,7 +10,6 @@ from typing import Iterator, Optional
 from .rootsys import Root, RootSystem, SimpleOrder, first_column, lex_key
 from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
-from .polyring import root_linear_form, divide_by_linear
 from .nilhecke import NilHeckeEngine, KKResult, BudgetExceeded
 
 
@@ -129,9 +128,13 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
                      ) -> GoodPairCertificate:
     """Enrich a good-pair certificate with divisibility evidence.
 
-    When both lengths fit under the cap, both d polynomials are computed, the
-    divisibility asymmetry is verified with divide_by_linear, and the final
-    inequality is checked directly; otherwise the certificate stays symbolic.
+    When both lengths fit under the cap, both d polynomials are computed in
+    factored form, unit times positive roots, and never expanded.  Positive
+    roots are pairwise non-proportional irreducibles of Q[a], so a root
+    divides d exactly when it is one of the root factors or divides the unit;
+    both halves of the divisibility asymmetry are checked that way, and the
+    inequality directly with FactoredPoly.equals.  Over the cap, or past the
+    term budget, the certificate stays symbolic.
     """
     rs = engine.rs
     if cert.side1:
@@ -142,27 +145,25 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
     if cert.w1.length > max_compute_len or cert.w2.length > max_compute_len:
         return replace(cert, computed=False, divides_evidence=evidence)
     try:
-        results = {}
+        d = {}
         for label, w in (("w1", cert.w1), ("w2", cert.w2)):
             if kk_cache is not None and w in kk_cache:
-                results[label] = kk_cache[w]
+                result = kk_cache[w]
             else:
-                results[label] = engine.kk_poly(w, expand=True)
+                result = engine.kk_poly(w, expand=False)
                 if kk_cache is not None:
-                    kk_cache[w] = results[label]
+                    kk_cache[w] = result
+            d[label] = result.d_factored
     except BudgetExceeded:
         return replace(cert, computed=False, divides_evidence=evidence)
-    form = root_linear_form(rs, root)
-    _, r_div = divide_by_linear(results[div_label].d_w, form)
-    _, r_nodiv = divide_by_linear(results[nodiv_label].d_w, form)
-    if not r_div.is_zero():
+    k = rs.index_of_b[root.b]
+    if not d[div_label].divisible_by(k):
         raise AnalysisError(
             f"certificate inconsistent: {root.b} should divide d_{div_label}")
-    if r_nodiv.is_zero():
+    if d[nodiv_label].divisible_by(k):
         raise AnalysisError(
             f"certificate inconsistent: {root.b} should not divide d_{nodiv_label}")
-    distinct = results["w1"].d_w != results["w2"].d_w
-    if not distinct:
+    if d["w1"].equals(d["w2"]):
         raise AnalysisError("good pair with equal polynomials; contradiction")
     return replace(cert, computed=True, divides_evidence=evidence,
                    direct_inequality=True)

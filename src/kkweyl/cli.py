@@ -25,7 +25,7 @@ from .rootsys import (
 )
 from . import weyl
 from .weyl import WeylElt
-from .nilhecke import NilHeckeEngine, BudgetExceeded, NilHeckeError
+from .nilhecke import NilHeckeEngine, BudgetExceeded
 from .analysis import (
     FactorRow, GoodPairCertificate, DividesEvidence, prop35_factor,
     scan_good_pairs, recheck_certificate, AnalysisError,
@@ -82,6 +82,17 @@ def _workers(args) -> int:
     if env and env.isdigit():
         return max(1, int(env))
     return 1
+
+
+def count_arg(text: str) -> int:
+    """argparse type for a non-negative integer: a length cap or a budget."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {n}")
+    return n
 
 
 def _frac_str(x) -> str:
@@ -225,15 +236,26 @@ def cert_to_json(cert: GoodPairCertificate) -> dict:
     return out
 
 
+def _reduced_elt(rs: RootSystem, word) -> WeylElt:
+    w = weyl.from_word(rs, tuple(word))
+    if w.length != len(word):
+        raise ValueError(f"word {word} is not reduced")
+    return w
+
+
 def cert_from_json(rs: RootSystem, rec: dict) -> GoodPairCertificate:
+    """Inverse of cert_to_json.  A malformed record raises ValueError,
+    KeyError or TypeError."""
+    if not isinstance(rec, dict):
+        raise TypeError("certificate is not a JSON object")
     ev = None
     if rec.get("divides_evidence"):
         e = rec["divides_evidence"]
         ev = DividesEvidence(rs.root_from_b(e["root_b"]),
                              e["divides"], e["not_divides"])
     return GoodPairCertificate(
-        w1=weyl.from_word(rs, tuple(rec["w1"])),
-        w2=weyl.from_word(rs, tuple(rec["w2"])),
+        w1=_reduced_elt(rs, rec["w1"]),
+        w2=_reduced_elt(rs, rec["w2"]),
         beta1=rs.root_from_b(rec["beta1_b"]),
         beta2=rs.root_from_b(rec["beta2_b"]),
         side1=rec["side1"],
@@ -258,10 +280,12 @@ def cmd_good_pairs(args) -> int:
         bad = 0
         kk_cache = {}
         for n, line in enumerate(lines, 1):
-            cert = cert_from_json(rs, json.loads(line))
             try:
+                cert = cert_from_json(rs, json.loads(line))
                 ok = recheck_certificate(cert, rs, order, engine, kk_cache)
-            except (AnalysisError, NilHeckeError):
+            except (ValueError, KeyError, TypeError):
+                # unreadable JSON, missing keys, bad letters or roots, and
+                # AnalysisError / NilHeckeError from the recheck itself
                 ok = False
             if not ok:
                 bad += 1
@@ -345,7 +369,7 @@ def make_parser() -> argparse.ArgumentParser:
         if order:
             p.add_argument("--order", default=None,
                            help="named simple-root order")
-        p.add_argument("--term-budget", type=int, default=2_000_000)
+        p.add_argument("--term-budget", type=count_arg, default=2_000_000)
         p.add_argument("--workers", type=int, default=None,
                        help="worker count (default: KKWEYL_WORKERS or 1)")
 
@@ -363,8 +387,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("good-pairs", help="scan and certify good pairs")
     common(p)
-    p.add_argument("--max-len", type=int, default=3)
-    p.add_argument("--max-compute-len", type=int, default=8)
+    p.add_argument("--max-len", type=count_arg, default=3)
+    p.add_argument("--max-compute-len", type=count_arg, default=8)
     p.add_argument("--no-certify", action="store_true")
     p.add_argument("--output", default=None)
     p.add_argument("--recheck", default=None, metavar="FILE",
@@ -373,8 +397,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the property suite")
     common(p)
-    p.add_argument("--max-len", type=int, default=None)
-    p.add_argument("--sample", type=int, default=200)
+    p.add_argument("--max-len", type=count_arg, default=None)
+    p.add_argument("--sample", type=count_arg, default=200)
     p.set_defaults(func=cmd_verify)
 
     return parser

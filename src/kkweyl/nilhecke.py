@@ -8,8 +8,9 @@ follow the rule  f d_v * g d_w = f v(g) d_{vw}.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Iterator, Optional
+from collections import Counter
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Optional
 
 from .rootsys import RootSystem, direct_sum
 from . import weyl
@@ -17,7 +18,7 @@ from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
     MPoly, RatFn, ratfn_zero, ratfn_const, ratfn_add, ratfn_neg, ratfn_mul,
     ratfn_normalize, ratfn_mul_root_inverse, ratfn_scale, root_linear_form,
-    weyl_act_ratfn, divide_by_linear,
+    weyl_act_ratfn, divides_linear,
 )
 
 
@@ -68,45 +69,83 @@ class NHElt:
         )
 
 
+class _ExpandedOnRead:
+    """Descriptor behind KKResult.d_w: the first read expands d_factored
+    within the result's term budget and caches the polynomial.
+
+    The dataclass takes this descriptor as the field's default, so an
+    unexpanded result holds either it or None.
+    """
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return self
+        d = obj.__dict__.get("_d_w")
+        if d is None:
+            d = obj.__dict__["_d_w"] = obj.d_factored.expand(obj.term_budget)
+        return d
+
+    def __set__(self, obj, value):
+        obj.__dict__["_d_w"] = None if value is self else value
+
+
 @dataclass
 class KKResult:
     w: WeylElt
     c_w: RatFn
-    d_w: Optional[MPoly]          # expanded polynomial, when requested
     d_factored: "FactoredPoly"
     term_count: int
     elapsed: float
+    term_budget: Optional[int] = None
+    # the expanded polynomial; kept out of repr and == so that neither
+    # triggers an expansion of hundreds of thousands of terms
+    d_w: MPoly = field(default=_ExpandedOnRead(), repr=False, compare=False)
+
+
+def _times_roots(rs: RootSystem, poly: MPoly, factors: Iterable[int],
+                 budget: Optional[int] = None) -> MPoly:
+    """poly times the positive roots with the given indices, expanded."""
+    for k in factors:
+        poly = poly * root_linear_form(rs, rs.positive_roots[k])
+        if budget is not None and poly.term_count() > budget:
+            raise BudgetExceeded(
+                f"expansion terms {poly.term_count()} exceed budget {budget}")
+    return poly
 
 
 @dataclass(frozen=True)
 class FactoredPoly:
-    """unit * product of positive roots; equality cancels shared factors."""
+    """unit * product of positive roots, the positive roots given by index.
+
+    Positive roots are pairwise non-proportional linear forms, hence pairwise
+    non-associate irreducibles of the UFD Q[a_1..a_n]; divisibility and
+    equality are decided from the factors without expanding the product.
+    """
     rs: RootSystem
     unit: MPoly
     root_factors: tuple[int, ...]
 
-    def expand(self) -> MPoly:
-        out = self.unit
-        for k in self.root_factors:
-            out = out * root_linear_form(self.rs, self.rs.positive_roots[k])
-        return out
+    def expand(self, budget: Optional[int] = None) -> MPoly:
+        """The product in full; BudgetExceeded as soon as a partial product
+        has more than `budget` terms."""
+        return _times_roots(self.rs, self.unit, self.root_factors, budget)
+
+    def divisible_by(self, k: int) -> bool:
+        """Whether positive root k divides the product: it is one of the root
+        factors or it divides the unit."""
+        if k in self.root_factors:
+            return True
+        return divides_linear(root_linear_form(self.rs, self.rs.positive_roots[k]),
+                              self.unit)
 
     def equals(self, other: "FactoredPoly") -> bool:
+        """Exact equality: shared root factors cancel, and only the two units
+        times their unshared factors are expanded and compared."""
         if self.rs is not other.rs:
             return False
-        a = list(self.root_factors)
-        b = list(other.root_factors)
-        for x in list(a):
-            if x in b:
-                a.remove(x)
-                b.remove(x)
-        lhs = self.unit
-        for k in a:
-            lhs = lhs * root_linear_form(self.rs, self.rs.positive_roots[k])
-        rhs = other.unit
-        for k in b:
-            rhs = rhs * root_linear_form(self.rs, self.rs.positive_roots[k])
-        return lhs == rhs
+        mine, theirs = Counter(self.root_factors), Counter(other.root_factors)
+        return (_times_roots(self.rs, self.unit, (mine - theirs).elements())
+                == _times_roots(self.rs, other.unit, (theirs - mine).elements()))
 
 
 class NilHeckeEngine:
@@ -283,9 +322,10 @@ class NilHeckeEngine:
         sign = -1 if w.length % 2 else 1
         unit = c.num.scale(sign)
         factored = FactoredPoly(self.rs, unit, tuple(remaining))
-        d = factored.expand() if expand else None
+        d = factored.expand(self.term_budget) if expand else None
         count = d.term_count() if d is not None else unit.term_count()
-        return KKResult(w, c, d, factored, count, time.monotonic() - t0)
+        return KKResult(w, c, factored, count, time.monotonic() - t0,
+                        self.term_budget, d)
 
     # -- identity checks ---------------------------------------------------------------
 

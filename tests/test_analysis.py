@@ -6,7 +6,7 @@ from kkweyl.weyl import (
     identity, simple_reflection, multiply, from_word, reflection,
     enumerate_involutions,
 )
-from kkweyl.nilhecke import NilHeckeEngine
+from kkweyl.nilhecke import FactoredPoly, NilHeckeEngine
 from kkweyl.analysis import (
     AnalysisError, NotAGoodPair, prop35_factor, gen_table,
     is_good_pair, certify_distinct, scan_good_pairs, recheck_certificate,
@@ -149,3 +149,15 @@ class TestScan:
             assert key not in seen   # emitted once, not also reversed
             seen.add(key)
             assert recheck_certificate(cert, e6, e6_natural, e6_engine, kk_cache)
+
+
+def test_certification_never_expands(e6, e6_natural, monkeypatch):
+    def refuse(self, budget=None):
+        raise AssertionError("certification expanded a polynomial")
+    monkeypatch.setattr(FactoredPoly, "expand", refuse)
+    engine = NilHeckeEngine(e6)
+    certs = list(scan_good_pairs(e6, e6_natural, 3, engine, certify=True))
+    assert certs
+    for cert in certs:
+        assert cert.computed and cert.direct_inequality is True
+        assert recheck_certificate(cert, e6, e6_natural)

@@ -32,6 +32,14 @@ class TestKK:
     def test_bad_letter_usage_error(self, capsys):
         assert main(["kk", "--type", "A2", "--word", "1 9"]) == 64
 
+    def test_expansion_budget_exit_69(self, capsys):
+        # the x_w fold is tiny; only expanding d_w (27 root factors) blows up
+        assert main(["kk", "--type", "A7", "--word", "1",
+                     "--term-budget", "10"]) == 69
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "term budget exceeded" in captured.err
+
 
 class TestGenTables:
     def test_e6_natural_json(self, tmp_path, capsys):
@@ -122,6 +130,25 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6",
                      "--recheck", str(tampered)]) == 3
 
+    # a good E6 pair under the natural order, as `good-pairs` writes it
+    GOOD_RECORD = {"w1": [1], "w2": [1, 3, 1], "beta1_b": [1, 0, 0, 0, 0, 0],
+                   "beta2_b": [1, 0, 1, 0, 0, 0], "side1": False, "side2": True,
+                   "computed": False, "direct_inequality": None}
+
+    @pytest.mark.parametrize("line", [
+        '{"w1": [1], "w2": [1, 3',                                # not JSON
+        json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),
+        json.dumps({**GOOD_RECORD, "w1": [9]}),                   # no letter 9
+        json.dumps({**GOOD_RECORD, "w1": [1, 1, 1]}),             # not reduced
+    ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced"])
+    def test_recheck_bad_record_exit_3(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(self.GOOD_RECORD) + "\n" + line + "\n")
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(bad)]) == 3
+        err = capsys.readouterr().err
+        assert "FAIL line 2" in err
+        assert "FAIL line 1" not in err
+
     def test_missing_recheck_file_exit_1(self, capsys):
         assert main(["good-pairs", "--type", "E6",
                      "--recheck", "/nonexistent/x.jsonl"]) == 1
@@ -151,3 +178,16 @@ class TestUsage:
 
     def test_a_type_order_rejected(self, capsys):
         assert main(["verify", "--type", "A2", "--order", "natural"]) == 64
+
+    @pytest.mark.parametrize("argv", [
+        ["good-pairs", "--type", "E6", "--max-len", "-1"],
+        ["good-pairs", "--type", "E6", "--max-compute-len", "-1"],
+        ["good-pairs", "--type", "E6", "--term-budget", "-1"],
+        ["verify", "--type", "A2", "--max-len", "-1"],
+        ["verify", "--type", "E6", "--max-len", "1", "--sample", "-1"],
+        ["kk", "--type", "A2", "--word", "1", "--term-budget", "-5"],
+        ["good-pairs", "--type", "E6", "--max-len", "three"],
+    ])
+    def test_bad_count_exit_64(self, capsys, argv):
+        assert main(argv) == 64
+        assert "usage error" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import pytest
 
 from kkweyl.polyring import (
     MPoly, RatFn, ratfn_const, ratfn_normalize, root_linear_form,
+    divide_by_linear,
 )
 from kkweyl import weyl
 from kkweyl.weyl import (
@@ -12,7 +13,7 @@ from kkweyl.weyl import (
     enumerate_elements,
 )
 from kkweyl.nilhecke import (
-    NHElt, NilHeckeEngine, NilHeckeError, BudgetExceeded,
+    NHElt, NilHeckeEngine, NilHeckeError, BudgetExceeded, FactoredPoly,
     product_formula_check,
 )
 from kkweyl.rootsys import direct_sum
@@ -181,6 +182,87 @@ class TestKKPoly:
     def test_a2_long_element(self, a2, a2_engine):
         res = a2_engine.kk_poly(from_word(a2, (1, 2, 1)))
         assert res.d_w == MPoly.const(2, 1)
+
+
+def a3_factored(a3, c, unit_roots, factors):
+    """c * prod(unit_roots) as the unit, times the root factors; the positive
+    roots 0..5 of A3 are a1, a2, a3, a1+a2, a2+a3, a1+a2+a3."""
+    unit = MPoly.const(3, c)
+    for k in unit_roots:
+        unit = unit * root_linear_form(a3, a3.positive_roots[k])
+    return FactoredPoly(a3, unit, tuple(factors))
+
+
+# (c, unit roots, root factors) on each side, and whether the products agree
+EQUALS_CASES = [
+    ((1, (), (0, 3, 5)), (1, (), (5, 0, 3)), True),     # permuted factors
+    ((1, (), (0, 1, 3)), (1, (), (1, 0, 4)), False),    # shared factors
+    ((1, (), (0, 0, 2)), (1, (), (0, 2)), False),       # a repeated factor
+    ((2, (), (0, 1)), (1, (), (0, 1)), False),          # different units
+    ((-1, (), (2,)), (1, (), (2,)), False),
+    ((1, (0,), (3,)), (1, (), (0, 3)), True),           # a root in the unit
+    ((1, (3, 4), (5,)), (1, (4,), (3, 5)), True),
+    ((1, (1,), (3,)), (1, (), (0, 3)), False),
+    ((0, (), (0,)), (0, (), (1, 2)), True),             # zero units
+]
+
+
+class TestFactoredPoly:
+    """The factored comparisons against the expanded polynomial as oracle."""
+
+    @pytest.mark.parametrize("lhs,rhs,equal", EQUALS_CASES)
+    def test_equals_agrees_with_expansion(self, a3, lhs, rhs, equal):
+        p, q = a3_factored(a3, *lhs), a3_factored(a3, *rhs)
+        assert (p.expand() == q.expand()) is equal
+        assert p.equals(q) is equal
+        assert q.equals(p) is equal
+
+    def test_divisible_by_agrees_with_division(self, a3, a3_engine):
+        polys = [a3_engine.kk_poly(w, expand=False).d_factored
+                 for w in enumerate_elements(a3, 6)]
+        for lhs, rhs, _ in EQUALS_CASES:
+            polys += [a3_factored(a3, *lhs), a3_factored(a3, *rhs)]
+        x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
+        polys.append(FactoredPoly(a3, x1 * x1 + x2 * x2, (2,)))
+        polys.append(FactoredPoly(a3, x1 * x2 + x1 * x3, (2,)))
+        for p in polys:
+            full = p.expand()
+            for k, root in enumerate(a3.positive_roots):
+                by_division = divide_by_linear(
+                    full, root_linear_form(a3, root))[1].is_zero()
+                assert p.divisible_by(k) is by_division, (p, k)
+
+    def test_expand_budget(self, a3):
+        p = FactoredPoly(a3, MPoly.const(3, 1), tuple(range(6)))
+        assert p.expand(budget=8).term_count() == 8
+        with pytest.raises(BudgetExceeded):
+            p.expand(budget=7)
+
+    def test_kk_result_expands_once_on_first_read(self, a3, monkeypatch):
+        calls = []
+        expand = FactoredPoly.expand
+
+        def counted(self, budget=None):
+            calls.append(budget)
+            return expand(self, budget)
+        monkeypatch.setattr(FactoredPoly, "expand", counted)
+        engine = NilHeckeEngine(a3, term_budget=1000)
+        res = engine.kk_poly(identity(a3), expand=False)
+        repr(res)
+        assert res == res
+        assert calls == []
+        d = res.d_w
+        assert res.d_w is d
+        assert calls == [1000]
+        assert d == FactoredPoly(a3, MPoly.const(3, 1), tuple(range(6))).expand()
+
+    def test_kk_result_expansion_respects_budget(self, a3):
+        engine = NilHeckeEngine(a3, term_budget=7)
+        res = engine.kk_poly(identity(a3), expand=False)
+        with pytest.raises(BudgetExceeded):
+            res.d_w
+        with pytest.raises(BudgetExceeded):
+            engine.kk_poly(identity(a3), expand=True)
 
 
 class TestRecursions:
