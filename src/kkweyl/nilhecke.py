@@ -7,6 +7,7 @@ follow the rule  f d_v * g d_w = f v(g) d_{vw}.
 
 from __future__ import annotations
 
+import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -104,13 +105,83 @@ class KKResult:
 
 def _times_roots(rs: RootSystem, poly: MPoly, factors: Iterable[int],
                  budget: Optional[int] = None) -> MPoly:
-    """poly times the positive roots with the given indices, expanded."""
-    for k in factors:
-        poly = poly * root_linear_form(rs, rs.positive_roots[k])
-        if budget is not None and poly.term_count() > budget:
-            raise BudgetExceeded(
-                f"expansion terms {poly.term_count()} exceed budget {budget}")
-    return poly
+    """poly times the positive roots with the given indices, expanded.
+
+    The product runs on rows.  Two variables a_p and a_q are set aside; a
+    row key packs, one byte per variable, the exponents of the others and
+    e_p + e_q in place of e_q, and the row value is one int whose K-bit slot
+    e_p holds the coefficient.  Multiplying by a_p then adds a_q's byte to
+    the key and shifts the value K bits; multiplying by any other variable
+    adds that variable's byte to the key.  A step costs one dict update per
+    row rather than per term.  K fits the L1 norm of the product, which
+    bounds every coefficient of every partial product.  A unit that is not
+    integral, or an exponent that could pass 255, falls back to MPoly
+    multiplication.
+    """
+    roots = [rs.positive_roots[k] for k in factors]
+    n = rs.rank
+    top = max((sum(e) for e in poly.terms), default=0) + len(roots)
+    if n < 2 or top > 255 or not all(type(c) is int for c in poly.terms.values()):
+        for beta in roots:
+            poly = poly * root_linear_form(rs, beta)
+            _check_budget(len(poly.terms), budget)
+        return poly
+    by_use = sorted(range(n), key=lambda i: sum(1 for beta in roots if beta.b[i]))
+    p, q = by_use[-1], by_use[-2]
+    bound = (sum(abs(c) for c in poly.terms.values())
+             * math.prod(sum(beta.b) for beta in roots))
+    K = bound.bit_length() + 1
+    byte = [1 << 8 * i for i in range(n)]
+    rows: dict[int, int] = {}
+    for e, c in poly.terms.items():
+        e = list(e)
+        slot, e[p], e[q] = e[p], 0, e[p] + e[q]
+        key = int.from_bytes(bytes(e), "little")
+        rows[key] = rows.get(key, 0) + (c << K * slot)
+    for beta in roots:
+        out: dict[int, int] = {}
+        get = out.get
+        for i, c in enumerate(beta.b):
+            if not c:
+                continue
+            shift = K if i == p else 0
+            s = byte[q if i == p else i]
+            for key, v in rows.items():
+                key += s
+                out[key] = get(key, 0) + (c * v << shift)
+        if not all(out.values()):
+            out = {key: v for key, v in out.items() if v}
+        rows = out
+        # every nonzero row holds at least one term
+        _check_budget(len(rows), budget)
+    return MPoly(n, _unpack_rows(rows, n, p, q, K, budget))
+
+
+def _unpack_rows(rows: dict[int, int], n: int, p: int, q: int, K: int,
+                 budget: Optional[int]) -> dict[tuple[int, ...], int]:
+    """The terms of _times_roots' rows: slots are read as balanced digits,
+    each in (-2^(K-1), 2^(K-1))."""
+    full, half, mask = 1 << K, 1 << K - 1, (1 << K) - 1
+    terms = {}
+    for key, v in rows.items():
+        e = list(key.to_bytes(n, "little"))
+        pq, slot = e[q], 0
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= full
+            if c:
+                e[p], e[q] = slot, pq - slot
+                terms[tuple(e)] = c
+            v = (v - c) >> K
+            slot += 1
+        _check_budget(len(terms), budget)
+    return terms
+
+
+def _check_budget(count: int, budget: Optional[int]) -> None:
+    if budget is not None and count > budget:
+        raise BudgetExceeded(f"expansion terms {count} exceed budget {budget}")
 
 
 @dataclass(frozen=True)
@@ -126,8 +197,8 @@ class FactoredPoly:
     root_factors: tuple[int, ...]
 
     def expand(self, budget: Optional[int] = None) -> MPoly:
-        """The product in full; BudgetExceeded as soon as a partial product
-        has more than `budget` terms."""
+        """The product in full; BudgetExceeded once it has more than `budget`
+        terms, or as soon as a partial product has more than `budget` rows."""
         return _times_roots(self.rs, self.unit, self.root_factors, budget)
 
     def divisible_by(self, k: int) -> bool:

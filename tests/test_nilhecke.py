@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,28 @@ class TestFactoredPoly:
                 by_division = divide_by_linear(
                     full, root_linear_form(a3, root))[1].is_zero()
                 assert p.divisible_by(k) is by_division, (p, k)
+
+    @pytest.mark.parametrize("base", [0, 247, 248])
+    def test_expand_agrees_with_mpoly_products(self, a3, base):
+        # with all six roots of A3 as factors, a unit of degree 249 keeps
+        # every exponent within a byte; at degree 250 MPoly products take over
+        x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
+        big = MPoly(3, {(base, 0, 0): 1})
+        units = [MPoly.const(3, 0), MPoly.const(3, -2), big * (x1 - x2),
+                 big * (x1 * x2 - MPoly.const(3, 3) * x3 * x3 + x2 - MPoly.const(3, 5)),
+                 big * (x1 * x1 - x2 * x3 + MPoly.const(3, Fraction(1, 3)))]
+        factors = (0, 3, 5, 1, 4, 2)
+        for unit in units:
+            expected = unit
+            for k in factors:
+                expected = expected * root_linear_form(a3, a3.positive_roots[k])
+            assert FactoredPoly(a3, unit, factors).expand() == expected, unit
+
+    def test_expand_with_cancellation(self, a3):
+        # (a2 + a3 - a1)(a1 + a2 + a3): the a1 a2 and a1 a3 terms cancel
+        x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
+        p = FactoredPoly(a3, x2 + x3 - x1, (5,))
+        assert p.expand() == (x2 + x3) * (x2 + x3) - x1 * x1
 
     def test_expand_budget(self, a3):
         p = FactoredPoly(a3, MPoly.const(3, 1), tuple(range(6)))
