@@ -6,7 +6,7 @@ from .rootsys import (
 )
 from .weyl import (
     WeylElt, Word, identity, simple_reflection, multiply, inverse, act_on_root,
-    length, reduced_word, reflection, parabolic_factorize, support,
+    reduced_word, reflection, parabolic_factorize, support,
     enumerate_involutions, BruhatOrder,
 )
 from .polyring import MPoly, RatFn, root_linear_form, divide_by_linear
@@ -16,7 +16,7 @@ __all__ = [
     "Rat", "Root", "RootSystem", "SimpleOrder", "build_e_system",
     "build_from_cartan", "direct_sum", "lex_compare", "first_column", "reflect",
     "named_order", "WeylElt", "Word", "identity", "simple_reflection",
-    "multiply", "inverse", "act_on_root", "length", "reduced_word",
+    "multiply", "inverse", "act_on_root", "reduced_word",
     "reflection", "parabolic_factorize", "support", "enumerate_involutions",
     "BruhatOrder", "MPoly", "RatFn", "root_linear_form", "divide_by_linear",
     "NHElt", "NilHeckeEngine", "KKResult", "product_formula_check",

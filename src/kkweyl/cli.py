@@ -14,20 +14,18 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from typing import Optional
 
 from .rootsys import (
-    NAMED_ORDERS, Root, RootSystem, RootSystemError, SimpleOrder,
+    NAMED_ORDERS, RootSystem, RootSystemError, SimpleOrder,
     build_e_system, build_from_cartan, named_order, default_order_name,
-    first_column,
 )
 from . import weyl
 from .weyl import WeylElt
 from .nilhecke import NilHeckeEngine, BudgetExceeded
 from .analysis import (
-    FactorRow, GoodPairCertificate, DividesEvidence, prop35_factor,
+    FactorRow, GoodPairCertificate, DividesEvidence, gen_table,
     scan_good_pairs, recheck_certificate, AnalysisError,
 )
 from . import verify as verify_mod
@@ -73,15 +71,6 @@ def resolve_order(rs: RootSystem, type_tag: str, name: Optional[str]) -> SimpleO
     if name is not None:
         raise UsageError(f"type {type_tag} has no named orders")
     return SimpleOrder(tuple(range(1, rs.rank + 1)), 1)
-
-
-def _workers(args) -> int:
-    if getattr(args, "workers", None):
-        return max(1, args.workers)
-    env = os.environ.get("KKWEYL_WORKERS")
-    if env and env.isdigit():
-        return max(1, int(env))
-    return 1
 
 
 def count_arg(text: str) -> int:
@@ -148,16 +137,9 @@ def cmd_gen_tables(args) -> int:
     rs = build_system(type_tag)
     exit_code = EX_OK
     ext = {"json": "json", "csv": "csv", "text": "txt"}[args.format]
-    workers = _workers(args)
     for name in names:
         order = resolve_order(rs, type_tag, name)
-        betas = first_column(rs, order)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(
-                    lambda beta: prop35_factor(rs, order, beta), betas))
-        else:
-            rows = [prop35_factor(rs, order, beta) for beta in betas]
+        rows = gen_table(rs, order)
         if any(not r.premise_ok for r in rows):
             exit_code = EX_PREMISE
         text = render_table(rows, args.format)
@@ -283,9 +265,10 @@ def cmd_good_pairs(args) -> int:
             try:
                 cert = cert_from_json(rs, json.loads(line))
                 ok = recheck_certificate(cert, rs, order, engine, kk_cache)
-            except (ValueError, KeyError, TypeError):
-                # unreadable JSON, missing keys, bad letters or roots, and
-                # AnalysisError / NilHeckeError from the recheck itself
+            except (ValueError, KeyError, TypeError, RecursionError):
+                # unreadable or too deeply nested JSON, missing keys, bad
+                # letters or roots, and AnalysisError / NilHeckeError from
+                # the recheck itself
                 ok = False
             if not ok:
                 bad += 1
@@ -327,25 +310,8 @@ def cmd_verify(args) -> int:
     max_len = args.max_len
     if max_len is None:
         max_len = len(rs.positive_roots) if rs.rank <= 3 else 5
-    workers = _workers(args)
-    checks = [
-        lambda: verify_mod.check_product_law(
-            engine, max_len, sample=None if rs.rank <= 3 else args.sample),
-        lambda: verify_mod.check_recursions(
-            engine, max_len, sample=None if rs.rank <= 3 else args.sample),
-        lambda: verify_mod.check_support_law(engine, min(max_len, 6)),
-        lambda: verify_mod.check_oracle_equivalence(
-            engine, min(max_len, engine.brute_cap)),
-        lambda: verify_mod.check_dyer_shape(
-            engine, max_len, id_only_above=None if rs.rank <= 3 else 5),
-        lambda: verify_mod.check_supp_bruhat(rs, order, max_len),
-        lambda: verify_mod.check_product_formula(),
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: f(), checks))
-    else:
-        results = [f() for f in checks]
+    results = verify_mod.run_suite(rs, order, max_len, engine,
+                                   sample=args.sample)
     failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"
@@ -370,8 +336,6 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", default=None,
                            help="named simple-root order")
         p.add_argument("--term-budget", type=count_arg, default=2_000_000)
-        p.add_argument("--workers", type=int, default=None,
-                       help="worker count (default: KKWEYL_WORKERS or 1)")
 
     p = sub.add_parser("gen-tables", help="first-column factorization tables")
     common(p)

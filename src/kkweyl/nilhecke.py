@@ -372,9 +372,6 @@ class NilHeckeEngine:
         self._brute_memo[word] = out
         return out
 
-    def c_wv_bruteforce(self, word: Word, v: WeylElt) -> RatFn:
-        return self.bruteforce_expansion(word).get(v, ratfn_zero(self.rs))
-
     # -- Kostant-Kumar polynomial -----------------------------------------------------
 
     def kk_poly(self, w: WeylElt, expand: bool = True) -> KKResult:

@@ -203,18 +203,6 @@ def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
     })
 
 
-def poly_add(p: MPoly, q: MPoly) -> MPoly:
-    return p + q
-
-
-def poly_mul(p: MPoly, q: MPoly) -> MPoly:
-    return p * q
-
-
-def poly_scale(p: MPoly, c) -> MPoly:
-    return p.scale(c)
-
-
 def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
     """Division with remainder by a linear form with zero constant term.
 

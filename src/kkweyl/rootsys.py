@@ -2,7 +2,7 @@
 
 All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
 coefficient vectors are tuples of ints.  A RootSystem is immutable after
-construction and safe to share between threads.
+construction.
 """
 
 from __future__ import annotations

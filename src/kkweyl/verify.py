@@ -7,13 +7,13 @@ counterexample on failure.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .rootsys import RootSystem, SimpleOrder, build_from_cartan, direct_sum
 from . import weyl
 from .weyl import WeylElt
-from .nilhecke import NilHeckeEngine, NHElt, product_formula_check
+from .nilhecke import NilHeckeEngine, product_formula_check
 
 
 @dataclass
@@ -27,17 +27,17 @@ class VerifyResult:
     def ok(self) -> bool:
         return self.failed == 0
 
-    def record(self, ok: bool, instance: dict):
+    def record(self, ok: bool, **instance):
+        """Count one case.  The first failing instance is kept as the
+        counterexample, each WeylElt in it written as its reduced word."""
         if ok:
             self.passed += 1
-        else:
-            self.failed += 1
-            if self.counterexample is None:
-                self.counterexample = instance
-
-
-def _word(w: WeylElt) -> list[int]:
-    return list(weyl.reduced_word(w))
+            return
+        self.failed += 1
+        if self.counterexample is None:
+            self.counterexample = {
+                k: list(weyl.reduced_word(x)) if isinstance(x, WeylElt) else x
+                for k, x in instance.items()}
 
 
 def check_product_law(engine: NilHeckeEngine, max_len: int,
@@ -58,7 +58,7 @@ def check_product_law(engine: NilHeckeEngine, max_len: int,
             ok = prod == engine.x_of(vw)
         else:
             ok = prod.is_zero()
-        res.record(ok, {"v": _word(v), "w": _word(w)})
+        res.record(ok, v=v, w=w)
     return res
 
 
@@ -87,7 +87,7 @@ def check_recursions(engine: NilHeckeEngine, max_len: int,
             ok = ok and engine.recursion_check_b(w, v, i)
         if left:
             ok = ok and engine.recursion_check_c(w, v, i)
-        res.record(ok, {"w": _word(w), "v": _word(v), "i": i})
+        res.record(ok, w=w, v=v, i=i)
     return res
 
 
@@ -104,7 +104,7 @@ def check_support_law(engine: NilHeckeEngine, max_len: int) -> VerifyResult:
             engine.bruhat.leq(v, w) == (v in interval)
             for v in elements if v.length <= w.length
         )
-        res.record(ok, {"w": _word(w)})
+        res.record(ok, w=w)
     return res
 
 
@@ -114,7 +114,7 @@ def check_oracle_equivalence(engine: NilHeckeEngine, max_len: int) -> VerifyResu
     for w, xw in engine.expand_by_length(max_len):
         brute = engine.bruteforce_expansion(weyl.reduced_word(w))
         ok = xw.as_dict() == brute
-        res.record(ok, {"w": _word(w)})
+        res.record(ok, w=w)
     return res
 
 
@@ -126,10 +126,10 @@ def check_dyer_shape(engine: NilHeckeEngine, max_len: int,
     for w, xw in engine.expand_by_length(max_len):
         if id_only_above is not None and w.length > id_only_above:
             ok = engine.dyer_check(w, ident)
-            res.record(ok, {"w": _word(w), "v": []})
+            res.record(ok, w=w, v=ident)
             continue
         for v in xw.support():
-            res.record(engine.dyer_check(w, v), {"w": _word(w), "v": _word(v)})
+            res.record(engine.dyer_check(w, v), w=w, v=v)
     return res
 
 
@@ -142,8 +142,7 @@ def check_supp_bruhat(rs: RootSystem, order: SimpleOrder, max_len: int) -> Verif
     for a, w1 in enumerate(invols):
         for b, w2 in enumerate(invols):
             if a != b and supports[a] < supports[b]:
-                res.record(bruhat.leq(w1, w2),
-                           {"w1": _word(w1), "w2": _word(w2)})
+                res.record(bruhat.leq(w1, w2), w1=w1, w2=w2)
     return res
 
 
@@ -156,7 +155,7 @@ def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
     for w1 in weyl.enumerate_involutions(a1, 1):
         for w2 in weyl.enumerate_involutions(a1, 1):
             ok = product_formula_check(sum11, w1, w2)
-            res.record(ok, {"sum": "A1+A1", "w1": _word(w1), "w2": _word(w2)})
+            res.record(ok, sum="A1+A1", w1=w1, w2=w2)
     sum21 = direct_sum(a2, a1)
     e2 = list(weyl.enumerate_elements(a2, 3))
     e1 = list(weyl.enumerate_elements(a1, 1))
@@ -164,17 +163,19 @@ def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
     pairs = [(w1, w2) for w1 in e2 for w2 in e1]
     for w1, w2 in rng.choices(pairs, k=samples):
         ok = product_formula_check(sum21, w1, w2)
-        res.record(ok, {"sum": "A2+A1", "w1": _word(w1), "w2": _word(w2)})
+        res.record(ok, sum="A2+A1", w1=w1, w2=w2)
     return res
 
 
 def run_suite(rs: RootSystem, order: SimpleOrder, max_len: int,
               engine: Optional[NilHeckeEngine] = None,
               sample: Optional[int] = 200) -> list[VerifyResult]:
-    """The full property suite at the given length cap."""
+    """The full property suite at the given length cap.  On a system of rank
+    at most 3 every case runs; above that the pair checks draw `sample` cases
+    and the Dyer check keeps only v = id beyond length 5."""
     if engine is None:
         engine = NilHeckeEngine(rs)
-    small = len(rs.positive_roots) <= 10
+    small = rs.rank <= 3
     pair_sample = None if small else sample
     results = [
         check_product_law(engine, max_len, sample=pair_sample),

@@ -105,23 +105,11 @@ def from_word(rs: RootSystem, word: Word) -> WeylElt:
     return w
 
 
-def length(w: WeylElt) -> int:
-    return w.length
-
-
 def first_left_descent(w: WeylElt) -> Optional[int]:
     """Smallest i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative."""
     winv = inverse(w)
     for i in range(1, w.rs.rank + 1):
         if act_on_simple(winv, i) < 0:
-            return i
-    return None
-
-
-def first_right_descent(w: WeylElt) -> Optional[int]:
-    """Smallest i with l(w s_i) < l(w), i.e. w(alpha_i) negative."""
-    for i in range(1, w.rs.rank + 1):
-        if act_on_simple(w, i) < 0:
             return i
     return None
 
@@ -157,11 +145,7 @@ def reflection(rs: RootSystem, beta: Root) -> WeylElt:
 # -- Bruhat order ------------------------------------------------------------
 
 class BruhatOrder:
-    """Bruhat comparison via the lifting-property recursion, memoized.
-
-    The memo table only ever receives equal values for equal keys, so
-    concurrent readers/writers under the GIL are safe.
-    """
+    """Bruhat comparison via the lifting-property recursion, memoized."""
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
@@ -212,10 +196,6 @@ def bruhat_interval_subword(w: WeylElt) -> set[WeylElt]:
 
     go(0, identity(rs))
     return out
-
-
-def bruhat_leq_subword(v: WeylElt, w: WeylElt) -> bool:
-    return v in bruhat_interval_subword(w)
 
 
 # -- parabolic decomposition --------------------------------------------------

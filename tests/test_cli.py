@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from kkweyl import verify, weyl
 from kkweyl.cli import main
 
 
@@ -92,16 +93,6 @@ class TestGenTables:
         assert main(["gen-tables", "--type", "E6", "--order", "natural",
                      "--output-dir", str(target)]) == 1
 
-    def test_worker_count_does_not_change_output(self, tmp_path, capsys):
-        d1, d2 = tmp_path / "w1", tmp_path / "w4"
-        d1.mkdir(), d2.mkdir()
-        main(["gen-tables", "--type", "E6", "--order", "natural",
-              "--output-dir", str(d1)])
-        main(["gen-tables", "--type", "E6", "--order", "natural",
-              "--workers", "4", "--output-dir", str(d2)])
-        assert (d1 / "table_E6_natural.json").read_bytes() == \
-            (d2 / "table_E6_natural.json").read_bytes()
-
 
 class TestGoodPairs:
     def test_scan_and_recheck(self, tmp_path, capsys):
@@ -140,7 +131,9 @@ class TestGoodPairs:
         json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),
         json.dumps({**GOOD_RECORD, "w1": [9]}),                   # no letter 9
         json.dumps({**GOOD_RECORD, "w1": [1, 1, 1]}),             # not reduced
-    ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced"])
+        "[" * 100_000,                          # nested beyond the parser's depth
+    ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced",
+            "deeply-nested"])
     def test_recheck_bad_record_exit_3(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(json.dumps(self.GOOD_RECORD) + "\n" + line + "\n")
@@ -161,12 +154,20 @@ class TestVerify:
         assert out.count("PASS") == 7
         assert "FAIL" not in out
 
-    def test_deterministic_across_workers(self, capsys):
-        main(["verify", "--type", "A2"])
-        out1 = capsys.readouterr().out
-        main(["verify", "--type", "A2", "--workers", "3"])
-        out2 = capsys.readouterr().out
-        assert out1 == out2
+    def test_failure_exit_3_with_counterexample(self, monkeypatch, capsys, a2):
+        def failing_check():
+            res = verify.VerifyResult("direct_sum_product_formula")
+            res.record(True, w1=weyl.identity(a2))
+            res.record(False, sum="A2", w1=weyl.from_word(a2, (2, 1)), i=1)
+            res.record(False, sum="A2", w1=weyl.identity(a2), i=2)
+            return res
+        monkeypatch.setattr(verify, "check_product_formula", failing_check)
+        assert main(["verify", "--type", "A2"]) == 3
+        out = capsys.readouterr().out
+        assert "FAIL direct_sum_product_formula: 1 passed, 2 failed" in out
+        assert out.count("PASS") == 6
+        # the first failure is kept, its element written as a reduced word
+        assert '  counterexample: {"sum": "A2", "w1": [2, 1], "i": 1}\n' in out
 
 
 class TestUsage:
@@ -178,6 +179,10 @@ class TestUsage:
 
     def test_a_type_order_rejected(self, capsys):
         assert main(["verify", "--type", "A2", "--order", "natural"]) == 64
+
+    def test_workers_option_removed(self, capsys):
+        assert main(["verify", "--type", "A2", "--workers", "2"]) == 64
+        assert "usage error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["good-pairs", "--type", "E6", "--max-len", "-1"],

@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 
 from kkweyl.polyring import (
-    MPoly, RatFn, PolyError, root_linear_form, poly_add, poly_mul, poly_scale,
-    divide_by_linear, divides_linear, weyl_act_poly, weyl_act_ratfn,
+    MPoly, RatFn, PolyError, root_linear_form, divide_by_linear,
+    divides_linear, weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
     ratfn_mul, ratfn_mul_root_inverse,
 )
@@ -41,11 +41,11 @@ class TestRootLinearForm:
 class TestPolyArithmetic:
     def test_add_zero(self):
         p = MPoly(2, {(1, 0): 1, (0, 2): -3})
-        assert poly_add(p, MPoly.zero(2)) == p
+        assert p + MPoly.zero(2) == p
 
     def test_difference_of_squares(self):
         x1, x2 = MPoly.var(2, 1), MPoly.var(2, 2)
-        assert poly_mul(x1 + x2, x1 - x2) == x1 * x1 - x2 * x2
+        assert (x1 + x2) * (x1 - x2) == x1 * x1 - x2 * x2
 
     def test_distributivity_random(self):
         rng = random.Random(3)
@@ -55,8 +55,8 @@ class TestPolyArithmetic:
 
     def test_scale(self):
         p = MPoly(2, {(1, 1): 2})
-        assert poly_scale(p, Fraction(1, 2)) == MPoly(2, {(1, 1): 1})
-        assert poly_scale(p, 0).is_zero()
+        assert p.scale(Fraction(1, 2)) == MPoly(2, {(1, 1): 1})
+        assert p.scale(0).is_zero()
 
 
 class TestDivideByLinear:
