@@ -93,6 +93,28 @@ def _c1_max(rs: RootSystem, order: SimpleOrder) -> Root:
     return max(first_column(rs, order), key=lambda r: lex_key(order, r))
 
 
+def _c1_meet(w: WeylElt, order: SimpleOrder, c1: set[tuple[int, ...]]) -> list[Root]:
+    """The roots of the support of the involution w that lie in C1."""
+    return [r for r in weyl.support(w, order) if r.b in c1]
+
+
+def _pair_clauses(w1: WeylElt, beta1: Root, w2: WeylElt, beta2: Root,
+                  top: Optional[Root], bruhat: BruhatOrder) -> GoodPairCertificate:
+    """The good-pair clauses that follow the C1 meet: beta1 != beta2, neither
+    beta is `top` (the top of C1 for E8, None otherwise), and at least one
+    Bruhat side.  Raises NotAGoodPair with the failing clause."""
+    if beta1 == beta2:
+        raise NotAGoodPair("beta1 = beta2")
+    if top is not None and (beta1 == top or beta2 == top):
+        raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
+    rs = bruhat.rs
+    side1 = not bruhat.leq(weyl.reflection(rs, beta1), w2)
+    side2 = not bruhat.leq(weyl.reflection(rs, beta2), w1)
+    if not (side1 or side2):
+        raise NotAGoodPair("both s_{beta1} <= w2 and s_{beta2} <= w1")
+    return GoodPairCertificate(w1, w2, beta1, beta2, side1, side2)
+
+
 def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
                  bruhat: Optional[BruhatOrder] = None) -> GoodPairCertificate:
     """Check the four good-pair clauses; raises NotAGoodPair with the failing one."""
@@ -103,23 +125,13 @@ def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
     c1 = {r.b for r in first_column(rs, order)}
     betas = []
     for label, w in (("w1", w1), ("w2", w2)):
-        meet = [r for r in weyl.support(w, order) if r.b in c1]
+        meet = _c1_meet(w, order, c1)
         if len(meet) != 1:
             raise NotAGoodPair(
                 f"support of {label} meets C1 in {len(meet)} roots, need exactly 1")
         betas.append(meet[0])
-    beta1, beta2 = betas
-    if beta1 == beta2:
-        raise NotAGoodPair("beta1 = beta2")
-    if rs.type_tag == "E8":
-        top = _c1_max(rs, order)
-        if beta1 == top or beta2 == top:
-            raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
-    side1 = not bruhat.leq(weyl.reflection(rs, beta1), w2)
-    side2 = not bruhat.leq(weyl.reflection(rs, beta2), w1)
-    if not (side1 or side2):
-        raise NotAGoodPair("both s_{beta1} <= w2 and s_{beta2} <= w1")
-    return GoodPairCertificate(w1, w2, beta1, beta2, side1, side2)
+    top = _c1_max(rs, order) if rs.type_tag == "E8" else None
+    return _pair_clauses(w1, betas[0], w2, betas[1], top, bruhat)
 
 
 def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
@@ -179,15 +191,25 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
     with (w1, w2) in deterministic enumeration order."""
     if engine is None:
         engine = NilHeckeEngine(rs)
-    invols = [w for w in weyl.enumerate_involutions(rs, max_len)
-              if not w.is_identity()]
     bruhat = engine.bruhat
     if kk_cache is None:
         kk_cache = {}
-    for a in range(len(invols)):
-        for b in range(a + 1, len(invols)):
+    # The clauses that depend on one involution only are decided once each:
+    # an involution takes part in a good pair only if its support meets C1 in
+    # exactly one root beta.
+    c1 = {r.b for r in first_column(rs, order)}
+    top = _c1_max(rs, order) if rs.type_tag == "E8" else None
+    candidates = []
+    for w in weyl.enumerate_involutions(rs, max_len):
+        if w.is_identity():
+            continue
+        meet = _c1_meet(w, order, c1)
+        if len(meet) == 1:
+            candidates.append((w, meet[0]))
+    for a, (w1, beta1) in enumerate(candidates):
+        for w2, beta2 in candidates[a + 1:]:
             try:
-                cert = is_good_pair(invols[a], invols[b], rs, order, bruhat)
+                cert = _pair_clauses(w1, beta1, w2, beta2, top, bruhat)
             except NotAGoodPair:
                 continue
             if certify:

@@ -38,6 +38,9 @@ EX_USAGE = 64
 EX_NONREDUCED = 65
 EX_BUDGET = 69
 
+# A failed --recheck record is echoed up to this many characters.
+ECHO_CHARS = 200
+
 
 class UsageError(Exception):
     pass
@@ -248,6 +251,10 @@ def cert_from_json(rs: RootSystem, rec: dict) -> GoodPairCertificate:
     )
 
 
+def _clip(text: str) -> str:
+    return text if len(text) <= ECHO_CHARS else text[:ECHO_CHARS] + "..."
+
+
 def cmd_good_pairs(args) -> int:
     rs = build_system(args.type)
     order = resolve_order(rs, args.type, args.order)
@@ -272,7 +279,7 @@ def cmd_good_pairs(args) -> int:
                 ok = False
             if not ok:
                 bad += 1
-                print(f"FAIL line {n}: {line.strip()}", file=sys.stderr)
+                print(f"FAIL line {n}: {_clip(line.strip())}", file=sys.stderr)
         print(f"rechecked {len(lines)} certificates, {bad} failures")
         return EX_OK if bad == 0 else EX_PROPERTY
     out = sys.stdout

@@ -230,7 +230,6 @@ class NilHeckeEngine:
         self.bruhat = BruhatOrder(rs)
         self._x_memo: dict[Word, NHElt] = {(): self.delta_id()}
         self._brute_memo: dict[Word, dict[WeylElt, RatFn]] = {}
-        self._reflections: Optional[list[WeylElt]] = None
 
     # -- basics -----------------------------------------------------------------
 
@@ -241,7 +240,7 @@ class NilHeckeEngine:
         """x_i = (1/alpha_i) (d_{s_i} - d_id)."""
         rs = self.rs
         s = weyl.simple_reflection(rs, i)
-        idx = rs.index_of_b[tuple(1 if j == i - 1 else 0 for j in range(rs.rank))]
+        idx = rs.simple_index[i - 1]
         inv_alpha = RatFn(rs, MPoly.const(rs.rank, 1), (idx,))
         return NHElt.from_dict(rs, {s: inv_alpha, weyl.identity(rs): ratfn_neg(inv_alpha)})
 
@@ -424,13 +423,6 @@ class NilHeckeEngine:
         rhs = ratfn_mul_root_inverse(inner, weyl.act_on_simple(weyl.identity(rs), i))
         return lhs == rhs
 
-    def reflections(self) -> list[WeylElt]:
-        if self._reflections is None:
-            self._reflections = [
-                weyl.reflection(self.rs, r) for r in self.rs.positive_roots
-            ]
-        return self._reflections
-
     def dyer_check(self, w: WeylElt, v: WeylElt) -> bool:
         """The normalized denominator of c_{w,v} uses each root at most once and
         only roots alpha with s_alpha v <= w."""
@@ -439,9 +431,10 @@ class NilHeckeEngine:
             return True
         if len(set(c.den)) != len(c.den):
             return False
-        refs = self.reflections()
+        rs = self.rs
         return all(
-            self.bruhat.leq(weyl.multiply(refs[k], v), w)
+            self.bruhat.leq(
+                weyl.multiply(weyl.reflection(rs, rs.positive_roots[k]), v), w)
             for k in c.den
         )
 

@@ -2,7 +2,8 @@
 
 All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
 coefficient vectors are tuples of ints.  A RootSystem is immutable after
-construction.
+construction; the only state it gains later is `reflection_memo`, which
+`weyl.reflection` fills lazily (positive-root index -> permutation of s_beta).
 """
 
 from __future__ import annotations
@@ -110,9 +111,12 @@ class RootSystem:
         self.index_of_b: dict[tuple[int, ...], int] = {
             r.b: k for k, r in enumerate(self.positive_roots)
         }
+        # simple_index[i] = positive-root index of alpha_{i+1}
+        self.simple_index: tuple[int, ...] = tuple(
+            self.index_of_b[_unit(self.rank, i)] for i in range(self.rank)
+        )
         self.simple_roots: tuple[Root, ...] = tuple(
-            self.positive_roots[self.index_of_b[_unit(self.rank, i)]]
-            for i in range(self.rank)
+            self.positive_roots[k] for k in self.simple_index
         )
         # reflection_table[i][k] = signed 1-based index of s_{alpha_{i+1}}(pos_k)
         self.reflection_table: tuple[tuple[int, ...], ...] = tuple(
@@ -120,6 +124,7 @@ class RootSystem:
                   for r in self.positive_roots)
             for i in range(self.rank)
         )
+        self.reflection_memo: dict[int, tuple[int, ...]] = {}
 
     # -- coordinate helpers -------------------------------------------------
 

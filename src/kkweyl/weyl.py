@@ -35,7 +35,13 @@ class WeylElt:
 
     @property
     def length(self) -> int:
-        return sum(1 for x in self.perm if x < 0)
+        # Counted once per element and kept in the instance dict; equality,
+        # hash and repr stay on perm.
+        n = self.__dict__.get("_length")
+        if n is None:
+            n = sum(1 for x in self.perm if x < 0)
+            object.__setattr__(self, "_length", n)
+        return n
 
     def is_identity(self) -> bool:
         return all(x == k + 1 for k, x in enumerate(self.perm))
@@ -90,12 +96,7 @@ def act_on_root(w: WeylElt, root: Root) -> Root:
 
 def act_on_simple(w: WeylElt, i: int) -> int:
     """Signed positive-root index of w(alpha_i), i 1-based."""
-    k = w.rs.index_of_b[_unit(w.rs.rank, i - 1)]
-    return w.perm[k]
-
-
-def _unit(n: int, i: int) -> tuple[int, ...]:
-    return tuple(1 if j == i else 0 for j in range(n))
+    return w.perm[w.rs.simple_index[i - 1]]
 
 
 def from_word(rs: RootSystem, word: Word) -> WeylElt:
@@ -106,10 +107,11 @@ def from_word(rs: RootSystem, word: Word) -> WeylElt:
 
 
 def first_left_descent(w: WeylElt) -> Optional[int]:
-    """Smallest i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative."""
-    winv = inverse(w)
-    for i in range(1, w.rs.rank + 1):
-        if act_on_simple(winv, i) < 0:
+    """Smallest i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative, i.e.
+    w sends some positive root to -alpha_i."""
+    perm = w.perm
+    for i, k in enumerate(w.rs.simple_index, 1):
+        if -(k + 1) in perm:
             return i
     return None
 
@@ -128,18 +130,29 @@ def reduced_word(w: WeylElt) -> Word:
 
 
 def reflection(rs: RootSystem, beta: Root) -> WeylElt:
-    """The reflection s_beta for a positive root beta."""
+    """The reflection s_beta for a positive root beta.
+
+    Each permutation is built on first use and memoised on rs by the index of
+    beta: C beta once (C the Cartan matrix), then one dot product per root.
+    """
     if not beta.positive:
         raise WeylError("reflection expects a positive root")
-    gram_col = [rs.inner(rs.positive_roots[k], beta) for k in range(len(rs.positive_roots))]
-    perm = []
-    for k, c in enumerate(gram_col):
-        if not c:
-            perm.append(k + 1)
-        else:
-            b = tuple(g - c * bb for g, bb in zip(rs.positive_roots[k].b, beta.b))
-            perm.append(rs._signed_index(b))
-    return WeylElt(rs, tuple(perm))
+    k = rs.index_of_b.get(beta.b)
+    if k is None:
+        raise WeylError(f"{beta.b} is not a root of this system")
+    perm = rs.reflection_memo.get(k)
+    if perm is None:
+        c_beta = [sum(a * b for a, b in zip(row, beta.b)) for row in rs.cartan]
+        perm = []
+        for j, r in enumerate(rs.positive_roots):
+            c = sum(a * b for a, b in zip(r.b, c_beta))
+            if not c:
+                perm.append(j + 1)
+            else:
+                perm.append(rs._signed_index(
+                    tuple(g - c * bb for g, bb in zip(r.b, beta.b))))
+        perm = rs.reflection_memo[k] = tuple(perm)
+    return WeylElt(rs, perm)
 
 
 # -- Bruhat order ------------------------------------------------------------
@@ -253,7 +266,6 @@ def enumerate_elements(rs: RootSystem, max_len: int) -> Iterator[WeylElt]:
     for _ in range(max_len):
         nxt = {}
         for w in layer:
-            lw = w.length
             for i in range(1, rs.rank + 1):
                 if act_on_simple(w, i) > 0:
                     ws = multiply(w, simple_reflection(rs, i))

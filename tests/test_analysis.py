@@ -1,6 +1,6 @@
 import pytest
 
-from kkweyl.rootsys import first_column
+from kkweyl.rootsys import build_e_system, first_column, named_order
 from kkweyl import weyl
 from kkweyl.weyl import (
     identity, simple_reflection, multiply, from_word, reflection,
@@ -149,6 +149,28 @@ class TestScan:
             assert key not in seen   # emitted once, not also reversed
             seen.add(key)
             assert recheck_certificate(cert, e6, e6_natural, e6_engine, kk_cache)
+
+
+    # E6 at length 8 holds the first involution whose support meets C1 twice
+    @pytest.mark.parametrize("type_tag,order_name,max_len,pairs", [
+        ("E6", "natural", 4, 55), ("E7", "standard", 4, 108),
+        ("E6", "natural", 8, 1328)])
+    def test_matches_is_good_pair_on_every_pair(self, type_tag, order_name,
+                                                max_len, pairs):
+        # oracle: the public clause check on every pair of non-identity
+        # involutions, in enumeration order
+        rs, order = build_e_system(type_tag), named_order(type_tag, order_name)
+        invols = [w for w in enumerate_involutions(rs, max_len)
+                  if not w.is_identity()]
+        expected = []
+        for a, w1 in enumerate(invols):
+            for w2 in invols[a + 1:]:
+                try:
+                    expected.append(is_good_pair(w1, w2, rs, order))
+                except NotAGoodPair:
+                    pass
+        assert len(expected) == pairs
+        assert list(scan_good_pairs(rs, order, max_len, certify=False)) == expected
 
 
 def test_certification_never_expands(e6, e6_natural, monkeypatch):

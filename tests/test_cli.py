@@ -141,6 +141,8 @@ class TestGoodPairs:
         err = capsys.readouterr().err
         assert "FAIL line 2" in err
         assert "FAIL line 1" not in err
+        # the echo of a bad line is clipped, however long the line
+        assert len(err) < 400
 
     def test_missing_recheck_file_exit_1(self, capsys):
         assert main(["good-pairs", "--type", "E6",

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from kkweyl.rootsys import SimpleOrder
+from kkweyl.rootsys import SimpleOrder, build_e_system, reflect
 from kkweyl import weyl
 from kkweyl.weyl import (
     WeylError, identity, simple_reflection, multiply, inverse, act_on_root,
@@ -63,6 +63,19 @@ class TestLengthAndWords:
             word = reduced_word(w)
             assert len(word) == w.length
             assert from_word(e6, word) == w
+
+    def test_cached_length_counts_negative_entries(self, e6):
+        def count(w):
+            return sum(1 for x in w.perm if x < 0)
+        elements = list(enumerate_elements(e6, 3))
+        for w in elements:
+            assert w.length == count(w)
+            assert w.length == count(w)   # second read, from the cache
+            winv = inverse(w)
+            assert winv.length == count(winv) == w.length
+            for v in elements[:20]:
+                vw = multiply(v, w)
+                assert vw.length == count(vw)
 
     def test_subadditivity_exhaustive_a3(self, a3):
         elements = list(enumerate_elements(a3, 6))
@@ -147,6 +160,21 @@ class TestReflection:
     def test_length_is_twice_height_minus_one(self, e6):
         for beta in e6.positive_roots:
             assert reflection(e6, beta).length == 2 * beta.height - 1
+
+    @pytest.mark.parametrize("type_tag", ["E6", "E7", "E8"])
+    def test_agrees_with_root_reflect(self, type_tag):
+        # a fresh system, so the first call per root builds its permutation
+        rs = build_e_system(type_tag)
+        for beta in rs.positive_roots:
+            s = reflection(rs, beta)
+            for gamma in rs.positive_roots:
+                assert act_on_root(s, gamma) == reflect(rs, beta, gamma)
+            assert reflection(rs, beta) == s   # second call, from the memo
+        assert len(rs.reflection_memo) == len(rs.positive_roots)
+
+    def test_negative_root_rejected(self, e6):
+        with pytest.raises(WeylError):
+            reflection(e6, e6.positive_roots[3].negated())
 
 
 class TestSupport:
