@@ -221,7 +221,12 @@ def recheck_certificate(cert: GoodPairCertificate, rs: RootSystem,
                         order: SimpleOrder,
                         engine: Optional[NilHeckeEngine] = None,
                         kk_cache: Optional[dict[WeylElt, KKResult]] = None) -> bool:
-    """Re-derive every claim of a certificate from scratch."""
+    """Re-derive every claim of a certificate from scratch.
+
+    A computed certificate must carry exactly the evidence that
+    certify_distinct re-derives and a direct inequality; a symbolic one
+    carries no inequality claim, and either no evidence or the evidence its
+    sides imply."""
     if engine is None:
         engine = NilHeckeEngine(rs)
     fresh = is_good_pair(cert.w1, cert.w2, rs, order, engine.bruhat)
@@ -231,5 +236,9 @@ def recheck_certificate(cert: GoodPairCertificate, rs: RootSystem,
     if cert.computed:
         redone = certify_distinct(fresh, engine, max_compute_len=10**9,
                                   kk_cache=kk_cache)
-        return redone.computed and redone.direct_inequality is True
-    return True
+        return (redone.computed and redone.direct_inequality is True
+                and cert.direct_inequality is True
+                and cert.divides_evidence == redone.divides_evidence)
+    # a cap below every length gives the evidence the sides imply, uncomputed
+    implied = certify_distinct(fresh, engine, max_compute_len=-1).divides_evidence
+    return cert.direct_inequality is None and cert.divides_evidence in (None, implied)

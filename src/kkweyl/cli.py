@@ -261,7 +261,7 @@ def cmd_good_pairs(args) -> int:
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
     if args.recheck:
         try:
-            with open(args.recheck) as fh:
+            with open(args.recheck, "rb") as fh:
                 lines = [ln for ln in fh if ln.strip()]
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -270,16 +270,17 @@ def cmd_good_pairs(args) -> int:
         kk_cache = {}
         for n, line in enumerate(lines, 1):
             try:
-                cert = cert_from_json(rs, json.loads(line))
+                cert = cert_from_json(rs, json.loads(line.decode()))
                 ok = recheck_certificate(cert, rs, order, engine, kk_cache)
             except (ValueError, KeyError, TypeError, RecursionError):
-                # unreadable or too deeply nested JSON, missing keys, bad
-                # letters or roots, and AnalysisError / NilHeckeError from
-                # the recheck itself
+                # lines that are not UTF-8, unreadable or too deeply nested
+                # JSON, missing keys, bad letters or roots, and AnalysisError /
+                # NilHeckeError from the recheck itself
                 ok = False
             if not ok:
                 bad += 1
-                print(f"FAIL line {n}: {_clip(line.strip())}", file=sys.stderr)
+                text = line.decode(errors="replace").strip()
+                print(f"FAIL line {n}: {_clip(text)}", file=sys.stderr)
         print(f"rechecked {len(lines)} certificates, {bad} failures")
         return EX_OK if bad == 0 else EX_PROPERTY
     out = sys.stdout

@@ -18,8 +18,8 @@ from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
     MPoly, RatFn, ratfn_zero, ratfn_const, ratfn_add, ratfn_neg, ratfn_mul,
-    ratfn_normalize, ratfn_mul_root_inverse, ratfn_scale, root_linear_form,
-    weyl_act_ratfn, divides_linear,
+    ratfn_mul_root_inverse, ratfn_scale, root_linear_form, weyl_act_ratfn,
+    divides_linear,
 )
 
 
@@ -261,19 +261,19 @@ class NilHeckeEngine:
         return NHElt.from_dict(self.rs, out)
 
     def _extend_right(self, a: NHElt, i: int) -> NHElt:
-        """a * x_i without generic Weyl actions: only v(alpha_i) is needed."""
+        """a * x_i by recursion (b): c_{w s_i, u} = -(c_{w,u} + c_{w,u s_i}) /
+        u(alpha_i).  The coefficients at u and u s_i differ only in sign, so
+        each pair {u, u s_i} costs one add and one root inverse."""
         rs = self.rs
         s = weyl.simple_reflection(rs, i)
+        coeffs = a.as_dict()
         out: dict[WeylElt, RatFn] = {}
         for v, f in a.coeffs:
-            img = weyl.act_on_simple(v, i)   # signed index of v(alpha_i)
-            scaled = ratfn_mul_root_inverse(f, img)
             vs = weyl.multiply(v, s)
-            cur = out.get(vs)
-            out[vs] = scaled if cur is None else ratfn_add(cur, scaled)
-            neg = ratfn_neg(scaled)
-            cur = out.get(v)
-            out[v] = neg if cur is None else ratfn_add(cur, neg)
+            if vs not in out:
+                total = ratfn_add(f, coeffs.get(vs, ratfn_zero(rs)))
+                out[vs] = ratfn_mul_root_inverse(total, weyl.act_on_simple(v, i))
+                out[v] = ratfn_neg(out[vs])
         elt = NHElt.from_dict(rs, out)
         if elt.term_count() > self.term_budget:
             raise BudgetExceeded(
@@ -381,7 +381,6 @@ class NilHeckeEngine:
         """
         t0 = time.monotonic()
         c = self.c_w(w)
-        c = ratfn_normalize(c)
         if len(set(c.den)) != len(c.den):
             raise NilHeckeError(
                 f"residual denominator with multiplicity: {c.den}; arithmetic bug")
@@ -424,9 +423,9 @@ class NilHeckeEngine:
         return lhs == rhs
 
     def dyer_check(self, w: WeylElt, v: WeylElt) -> bool:
-        """The normalized denominator of c_{w,v} uses each root at most once and
-        only roots alpha with s_alpha v <= w."""
-        c = ratfn_normalize(self.c_wv(w, v))
+        """The denominator of c_{w,v}, in lowest terms, uses each root at most
+        once and only roots alpha with s_alpha v <= w."""
+        c = self.c_wv(w, v)
         if c.is_zero():
             return True
         if len(set(c.den)) != len(c.den):

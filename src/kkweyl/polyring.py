@@ -4,11 +4,17 @@ whose denominators are multisets of positive roots.
 Variables a_1..a_n are the simple roots of the owning system.  Coefficients are
 Python ints wherever possible and Fractions otherwise; both compare and hash
 consistently, so mixed dicts stay canonical.
+
+Every RatFn the operations return is in lowest terms (no denominator root
+divides the numerator), given inputs in lowest terms.  Positive roots are
+pairwise non-associate primes of Q[a], so a root can cancel only at the roots
+shared by the denominators of a sum, at the one-sided roots of a product and
+at the new root of ratfn_mul_root_inverse; the Weyl action cancels none.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .rootsys import Root, RootSystem
@@ -297,21 +303,14 @@ def weyl_act_poly(w: WeylElt, p: MPoly) -> MPoly:
 
 @dataclass(frozen=True)
 class RatFn:
-    """num / product of positive roots; den is a sorted tuple of root indices."""
-    rs: RootSystem
+    """num / product of positive roots; den is a sorted tuple of root indices.
+    In lowest terms (num, den) is canonical, so == and hash compare it alone."""
+    rs: RootSystem = field(compare=False, repr=False)
     num: MPoly
     den: tuple[int, ...]
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def __eq__(self, other):
-        # normalized RatFns are canonical: equal iff components are equal
-        return (isinstance(other, RatFn) and self.num == other.num
-                and self.den == other.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
 
     def render(self) -> str:
         if not self.den:
@@ -338,23 +337,26 @@ def ratfn_from_poly(rs: RootSystem, p: MPoly) -> RatFn:
     return RatFn(rs, p, ())
 
 
+def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
+    """num / den with each candidate root cancelled as often as it divides; as
+    roots are pairwise non-associate primes, one pass over them suffices."""
+    if num.is_zero():
+        return ratfn_zero(rs)
+    den = list(den)
+    for k in candidates:
+        form = root_linear_form(rs, rs.positive_roots[k])
+        while k in den:
+            q, r = divide_by_linear(num, form)
+            if not r.is_zero():
+                break
+            num = q
+            den.remove(k)
+    return RatFn(rs, num, tuple(sorted(den)))
+
+
 def ratfn_normalize(f: RatFn) -> RatFn:
     """Cancel every denominator root that divides the numerator."""
-    if f.num.is_zero():
-        return ratfn_zero(f.rs)
-    num = f.num
-    den = list(f.den)
-    changed = True
-    while changed:
-        changed = False
-        for idx in sorted(set(den)):
-            form = root_linear_form(f.rs, f.rs.positive_roots[idx])
-            q, r = divide_by_linear(num, form)
-            if r.is_zero():
-                num = q
-                den.remove(idx)
-                changed = True
-    return RatFn(f.rs, num, tuple(sorted(den)))
+    return _cancel(f.rs, f.num, f.den, set(f.den))
 
 
 def _den_product(rs: RootSystem, indices) -> MPoly:
@@ -373,6 +375,9 @@ def _multiset_diff(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
 
 
 def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
+    """f + g in lowest terms, for f and g in lowest terms.  A root of one
+    denominator alone divides exactly one of the two summands of the common
+    numerator, so only roots shared by both denominators can cancel."""
     if f.rs is not g.rs:
         raise PolyError("mixed root systems")
     if f.is_zero():
@@ -383,7 +388,7 @@ def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
     extra_g = _multiset_diff(f.den, g.den)
     lcm = tuple(sorted(list(f.den) + extra_f))
     num = f.num * _den_product(f.rs, extra_f) + g.num * _den_product(f.rs, extra_g)
-    return ratfn_normalize(RatFn(f.rs, num, lcm))
+    return _cancel(f.rs, num, lcm, set(f.den) & set(g.den))
 
 
 def ratfn_neg(f: RatFn) -> RatFn:
@@ -391,36 +396,29 @@ def ratfn_neg(f: RatFn) -> RatFn:
 
 
 def ratfn_mul(f: RatFn, g: RatFn) -> RatFn:
+    """f * g in lowest terms, for f and g in lowest terms.  A prime root of
+    both denominators divides neither numerator, hence not their product, so
+    only the roots of one denominator alone can cancel."""
     if f.rs is not g.rs:
         raise PolyError("mixed root systems")
-    if f.is_zero() or g.is_zero():
-        return ratfn_zero(f.rs)
-    return ratfn_normalize(RatFn(f.rs, f.num * g.num, tuple(sorted(f.den + g.den))))
+    return _cancel(f.rs, f.num * g.num, f.den + g.den, set(f.den) ^ set(g.den))
+
 
 def ratfn_scale(f: RatFn, c) -> RatFn:
-    num = f.num.scale(c)
-    if num.is_zero():
-        return ratfn_zero(f.rs)
-    return RatFn(f.rs, num, f.den)
+    return _cancel(f.rs, f.num.scale(c), f.den, ())
 
 
 def ratfn_mul_root_inverse(f: RatFn, signed_index: int) -> RatFn:
     """Multiply by 1/w(alpha): signed 1-based positive-root index; negative
     signs are absorbed into the numerator."""
-    if f.is_zero():
-        return f
     idx = abs(signed_index) - 1
     num = f.num if signed_index > 0 else -f.num
-    # the new factor may now cancel against the numerator
-    form = root_linear_form(f.rs, f.rs.positive_roots[idx])
-    q, r = divide_by_linear(num, form)
-    if r.is_zero():
-        return RatFn(f.rs, q, f.den)
-    return RatFn(f.rs, num, tuple(sorted(f.den + (idx,))))
+    return _cancel(f.rs, num, f.den + (idx,), (idx,))
 
 
 def weyl_act_ratfn(w: WeylElt, f: RatFn) -> RatFn:
-    """Weyl action; denominator roots map to roots up to sign, signs go to num."""
+    """Weyl action; denominator roots map to roots up to sign, signs go to num.
+    w is a ring automorphism, so lowest terms are kept with no cancelling."""
     if f.rs is not w.rs:
         raise PolyError("mixed root systems")
     num = weyl_act_poly(w, f.num)
@@ -433,4 +431,4 @@ def weyl_act_ratfn(w: WeylElt, f: RatFn) -> RatFn:
         den.append(abs(img) - 1)
     if sign < 0:
         num = -num
-    return ratfn_normalize(RatFn(f.rs, num, tuple(sorted(den))))
+    return RatFn(f.rs, num, tuple(sorted(den)))

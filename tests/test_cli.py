@@ -126,17 +126,46 @@ class TestGoodPairs:
                    "beta2_b": [1, 0, 1, 0, 0, 0], "side1": False, "side2": True,
                    "computed": False, "direct_inequality": None}
 
+    # the same pair certified: the first record of `good-pairs --max-len 3`
+    EVIDENCE = {"root_b": [1, 0, 1, 0, 0, 0], "divides": "w1", "not_divides": "w2"}
+    COMPUTED_RECORD = {**GOOD_RECORD, "computed": True, "direct_inequality": True,
+                       "divides_evidence": EVIDENCE}
+
+    def test_certified_scan_rechecks(self, tmp_path, capsys):
+        out = tmp_path / "certs.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "3",
+                     "--output", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert json.loads(lines[0]) == self.COMPUTED_RECORD
+        # a symbolic record may carry the evidence its sides imply
+        lines.append(json.dumps({**self.GOOD_RECORD, "divides_evidence": self.EVIDENCE}))
+        out.write_text("\n".join(lines) + "\n")
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
+        assert f"rechecked {len(lines)} certificates, 0 failures" in capsys.readouterr().out
+
     @pytest.mark.parametrize("line", [
         '{"w1": [1], "w2": [1, 3',                                # not JSON
         json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),
         json.dumps({**GOOD_RECORD, "w1": [9]}),                   # no letter 9
         json.dumps({**GOOD_RECORD, "w1": [1, 1, 1]}),             # not reduced
         "[" * 100_000,                          # nested beyond the parser's depth
+        b'\xff\xfe{"w1":[1]}',                                    # not UTF-8
+        json.dumps({**COMPUTED_RECORD,
+                    "divides_evidence": {**EVIDENCE, "root_b": [0, 0, 0, 0, 0, 1]}}),
+        json.dumps({**COMPUTED_RECORD, "direct_inequality": False}),
+        json.dumps({**COMPUTED_RECORD, "divides_evidence": None}),
+        json.dumps({**GOOD_RECORD, "divides_evidence":
+                    {**EVIDENCE, "divides": "w2", "not_divides": "w1"}}),
+        json.dumps({**GOOD_RECORD, "direct_inequality": True}),
     ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced",
-            "deeply-nested"])
+            "deeply-nested", "not-utf8", "forged-evidence-root",
+            "forged-no-inequality", "forged-no-evidence",
+            "symbolic-forged-evidence", "symbolic-inequality-claim"])
     def test_recheck_bad_record_exit_3(self, tmp_path, capsys, line):
+        if isinstance(line, str):
+            line = line.encode()
         bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(self.GOOD_RECORD) + "\n" + line + "\n")
+        bad.write_bytes(json.dumps(self.GOOD_RECORD).encode() + b"\n" + line + b"\n")
         assert main(["good-pairs", "--type", "E6", "--recheck", str(bad)]) == 3
         err = capsys.readouterr().err
         assert "FAIL line 2" in err

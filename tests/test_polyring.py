@@ -7,9 +7,10 @@ from kkweyl.polyring import (
     MPoly, RatFn, PolyError, root_linear_form, divide_by_linear,
     divides_linear, weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
-    ratfn_mul, ratfn_mul_root_inverse,
+    ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale, _den_product,
 )
 from kkweyl import weyl
+from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import simple_reflection, multiply, from_word, enumerate_elements
 
 
@@ -189,3 +190,81 @@ class TestRatFn:
         assert ratfn_normalize(acted) == expect
         # round trip: acting again with s1 restores f
         assert ratfn_normalize(weyl_act_ratfn(s1, acted)) == ratfn_normalize(f)
+
+
+def in_lowest_terms(f):
+    """No denominator root divides the numerator, by trial division alone."""
+    return not any(divides_linear(root_linear_form(f.rs, f.rs.positive_roots[k]), f.num)
+                   for k in set(f.den))
+
+
+def random_lowest(rng, rs):
+    """A nonzero RatFn in lowest terms whose numerator has some root factors."""
+    nroots = len(rs.positive_roots)
+    while True:
+        num = random_poly(rng, rs.rank)
+        for k in rng.sample(range(nroots), rng.randrange(3)):
+            num = num * root_linear_form(rs, rs.positive_roots[k])
+        den = tuple(sorted(rng.randrange(nroots) for _ in range(rng.randrange(4))))
+        f = RatFn(rs, num, den)
+        if not num.is_zero() and in_lowest_terms(f):
+            return f
+
+
+class TestLowestTerms:
+    """Every RatFn the operations return is in lowest terms; checked against
+    trial division and against normalising the unreduced result."""
+
+    @pytest.mark.parametrize("system,max_len", [("a3", 6), ("e6", 4)])
+    def test_fold_coefficients(self, request, system, max_len):
+        rs = request.getfixturevalue(system)
+        count = 0
+        for _, xw in NilHeckeEngine(rs).expand_by_length(max_len):
+            for _, c in xw.coeffs:
+                assert in_lowest_terms(c)
+                assert c == ratfn_normalize(c)
+                count += 1
+        assert count > 100
+
+    def test_add_and_mul_match_unreduced(self, a3):
+        rng = random.Random(29)
+        pairs = []
+        for _ in range(60):
+            f = random_lowest(rng, a3)
+            pairs.append((f, random_lowest(rng, a3)))
+            pairs.append((f, ratfn_neg(f)))          # sums to zero
+            if f.den:
+                # f + g = r / (f.den less one alpha): alpha is shared and cancels
+                alpha = root_linear_form(a3, a3.positive_roots[f.den[0]])
+                g = RatFn(a3, alpha * random_poly(rng, 3) - f.num, f.den)
+                if in_lowest_terms(g):
+                    pairs.append((f, g))
+        zeros = add_cancels = mul_cancels = 0
+        for f, g in pairs:
+            den = tuple(sorted(f.den + g.den))
+            total = ratfn_add(f, g)
+            assert total == ratfn_normalize(RatFn(
+                a3, f.num * _den_product(a3, g.den) + g.num * _den_product(a3, f.den),
+                den))
+            assert in_lowest_terms(total)
+            if total.is_zero():
+                zeros += 1
+            else:
+                add_cancels += len(total.den) < len(set(f.den) | set(g.den))
+            product = ratfn_mul(f, g)
+            assert product == ratfn_normalize(RatFn(a3, f.num * g.num, den))
+            assert in_lowest_terms(product)
+            mul_cancels += len(product.den) < len(den)
+            assert ratfn_mul(f, ratfn_zero(a3)) == ratfn_scale(f, 0) == ratfn_zero(a3)
+        assert zeros >= 60 and add_cancels >= 10 and mul_cancels >= 10
+
+    def test_weyl_action_keeps_lowest_terms(self, a3):
+        rng = random.Random(31)
+        inputs = [random_lowest(rng, a3) for _ in range(10)]
+        elements = list(enumerate_elements(a3, 6))
+        assert len(elements) == 24
+        for w in elements:
+            for f in inputs:
+                acted = weyl_act_ratfn(w, f)
+                assert in_lowest_terms(acted)
+                assert acted == ratfn_normalize(acted)
