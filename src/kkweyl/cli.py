@@ -221,33 +221,49 @@ def cert_to_json(cert: GoodPairCertificate) -> dict:
     return out
 
 
+def _ints(x, what: str) -> tuple[int, ...]:
+    """A JSON list of integers (not booleans) as a tuple."""
+    if type(x) is not list or any(type(i) is not int for i in x):
+        raise TypeError(f"{what} is not a list of integers")
+    return tuple(x)
+
+
+def _flag(x, what: str, nullable: bool = False):
+    """A JSON boolean, or null where allowed."""
+    if type(x) is bool or (nullable and x is None):
+        return x
+    raise TypeError(f"{what} is not a boolean")
+
+
 def _reduced_elt(rs: RootSystem, word) -> WeylElt:
-    w = weyl.from_word(rs, tuple(word))
+    w = weyl.from_word(rs, _ints(word, "word"))
     if w.length != len(word):
         raise ValueError(f"word {word} is not reduced")
     return w
 
 
 def cert_from_json(rs: RootSystem, rec: dict) -> GoodPairCertificate:
-    """Inverse of cert_to_json.  A malformed record raises ValueError,
-    KeyError or TypeError."""
+    """Inverse of cert_to_json.  A malformed record, or one whose fields do
+    not have the JSON types cert_to_json writes, raises ValueError, KeyError
+    or TypeError."""
     if not isinstance(rec, dict):
         raise TypeError("certificate is not a JSON object")
     ev = None
-    if rec.get("divides_evidence"):
-        e = rec["divides_evidence"]
-        ev = DividesEvidence(rs.root_from_b(e["root_b"]),
+    e = rec.get("divides_evidence")
+    if e is not None:   # an object, or subscripting it raises TypeError
+        ev = DividesEvidence(rs.root_from_b(_ints(e["root_b"], "root_b")),
                              e["divides"], e["not_divides"])
     return GoodPairCertificate(
         w1=_reduced_elt(rs, rec["w1"]),
         w2=_reduced_elt(rs, rec["w2"]),
-        beta1=rs.root_from_b(rec["beta1_b"]),
-        beta2=rs.root_from_b(rec["beta2_b"]),
-        side1=rec["side1"],
-        side2=rec["side2"],
-        computed=rec["computed"],
+        beta1=rs.root_from_b(_ints(rec["beta1_b"], "beta1_b")),
+        beta2=rs.root_from_b(_ints(rec["beta2_b"], "beta2_b")),
+        side1=_flag(rec["side1"], "side1"),
+        side2=_flag(rec["side2"], "side2"),
+        computed=_flag(rec["computed"], "computed"),
         divides_evidence=ev,
-        direct_inequality=rec.get("direct_inequality"),
+        direct_inequality=_flag(rec.get("direct_inequality"),
+                                "direct_inequality", nullable=True),
     )
 
 

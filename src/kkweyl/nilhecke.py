@@ -11,7 +11,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from .rootsys import RootSystem, direct_sum
 from . import weyl
@@ -222,13 +222,14 @@ class FactoredPoly:
 class NilHeckeEngine:
     """Per-system computation context with memoization and budgets."""
 
-    def __init__(self, rs: RootSystem, term_budget: int = 2_000_000,
-                 brute_cap: int = 12):
+    # longest word the brute-force oracle expands (2^len signed sequences)
+    brute_cap = 12
+
+    def __init__(self, rs: RootSystem, term_budget: int = 2_000_000):
         self.rs = rs
         self.term_budget = term_budget
-        self.brute_cap = brute_cap
         self.bruhat = BruhatOrder(rs)
-        self._x_memo: dict[Word, NHElt] = {(): self.delta_id()}
+        self.clear_cache()
         self._brute_memo: dict[Word, dict[WeylElt, RatFn]] = {}
 
     # -- basics -----------------------------------------------------------------
@@ -283,24 +284,28 @@ class NilHeckeEngine:
     # -- x_w --------------------------------------------------------------------
 
     def x_w(self, word: Word) -> NHElt:
-        """Expansion of x_w for a reduced word; memoized over word prefixes."""
+        """x_w for a reduced word of w.  x_w depends on w alone, so the memo is
+        keyed by element: each prefix element is looked up, or folded from the
+        previous one with one x_i.  A non-reduced word raises NilHeckeError."""
+        rs = self.rs
         word = tuple(word)
-        elt = weyl.from_word(self.rs, word)
-        if elt.length != len(word):
-            raise NilHeckeError(f"word {word} is not reduced")
-        return self._x_prefix(word)
-
-    def _x_prefix(self, word: Word) -> NHElt:
-        hit = self._x_memo.get(word)
-        if hit is not None:
-            return hit
-        prev = self._x_prefix(word[:-1])
-        out = self._extend_right(prev, word[-1])
-        self._x_memo[word] = out
-        return out
+        u = weyl.identity(rs)
+        elt = self._x_memo[u]
+        for i in word:
+            s = weyl.simple_reflection(rs, i)
+            if weyl.act_on_simple(u, i) < 0:      # l(u s_i) < l(u)
+                raise NilHeckeError(f"word {word} is not reduced")
+            u = weyl.multiply(u, s)
+            hit = self._x_memo.get(u)
+            if hit is None:
+                hit = self._x_memo[u] = self._extend_right(elt, i)
+            elt = hit
+        return elt
 
     def x_of(self, w: WeylElt) -> NHElt:
-        return self.x_w(weyl.reduced_word(w))
+        """x_w for an element: a memo hit, or a fold along reduced_word(w)."""
+        hit = self._x_memo.get(w)
+        return hit if hit is not None else self.x_w(weyl.reduced_word(w))
 
     def c_wv(self, w: WeylElt, v: WeylElt) -> RatFn:
         return self.x_of(w).coefficient(v)
@@ -309,29 +314,8 @@ class NilHeckeEngine:
         return self.c_wv(w, weyl.identity(self.rs))
 
     def clear_cache(self):
-        self._x_memo = {(): self.delta_id()}
-
-    def expand_by_length(self, max_len: int) -> Iterator[tuple[WeylElt, NHElt]]:
-        """Yield (w, x_w) for every w with l(w) <= max_len, in BFS order,
-        keeping only two layers of expansions in memory."""
-        rs = self.rs
-        ident = weyl.identity(rs)
-        layer: dict[WeylElt, NHElt] = {ident: self.delta_id()}
-        yield ident, layer[ident]
-        for _ in range(max_len):
-            nxt: dict[WeylElt, NHElt] = {}
-            for w in sorted(layer, key=lambda e: e.perm):
-                xw = layer[w]
-                for i in range(1, rs.rank + 1):
-                    if weyl.act_on_simple(w, i) > 0:
-                        ws = weyl.multiply(w, weyl.simple_reflection(rs, i))
-                        if ws not in nxt:
-                            nxt[ws] = self._extend_right(xw, i)
-            for w in sorted(nxt, key=lambda e: e.perm):
-                yield w, nxt[w]
-            layer = nxt
-            if not layer:
-                break
+        """Drop every memoised x_w but x_id."""
+        self._x_memo: dict[WeylElt, NHElt] = {weyl.identity(self.rs): self.delta_id()}
 
     # -- brute-force oracle --------------------------------------------------------
 

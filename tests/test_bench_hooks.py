@@ -1,10 +1,14 @@
-"""The benchmark's tracer wraps kkweyl functions by owner and attribute name;
-a refactor that renames or removes one would break `bench/run.py --trace 1`."""
+"""The benchmark reads kkweyl by name: the tracer wraps functions by owner and
+attribute, and the workloads and checks read engine and result fields.  A
+refactor that renames or removes one would break `bench/run.py`."""
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def test_tracing_targets_exist():
@@ -14,3 +18,12 @@ def test_tracing_targets_exist():
     missing = [name for name, owner, attr, _ in tracing.TARGETS
                if attr not in vars(owner)]
     assert not missing
+
+
+def test_bench_selftest_passes():
+    """bench/selftest.py runs every workload checker on a small real result and
+    on a corrupted copy, importing kkweyl from this checkout's sources; it
+    exits 0 when every case holds."""
+    proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -157,10 +157,21 @@ class TestGoodPairs:
         json.dumps({**GOOD_RECORD, "divides_evidence":
                     {**EVIDENCE, "divides": "w2", "not_divides": "w1"}}),
         json.dumps({**GOOD_RECORD, "direct_inequality": True}),
+        # mistyped fields that compare equal to the right value in Python
+        json.dumps({**COMPUTED_RECORD, "computed": "false"}),
+        json.dumps({**COMPUTED_RECORD, "side1": 0}),
+        json.dumps({**COMPUTED_RECORD, "side2": 1.0}),
+        json.dumps({**COMPUTED_RECORD, "w1": [True]}),
+        json.dumps({**COMPUTED_RECORD, "beta1_b": [1.0, 0, 0, 0, 0, 0]}),
+        json.dumps({**COMPUTED_RECORD,
+                    "divides_evidence": {**EVIDENCE, "root_b": [True, 0, 1, 0, 0, 0]}}),
+        json.dumps({**GOOD_RECORD, "divides_evidence": False}),
     ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced",
             "deeply-nested", "not-utf8", "forged-evidence-root",
             "forged-no-inequality", "forged-no-evidence",
-            "symbolic-forged-evidence", "symbolic-inequality-claim"])
+            "symbolic-forged-evidence", "symbolic-inequality-claim",
+            "computed-string", "side1-int", "side2-float", "word-bool",
+            "root-float", "evidence-root-bool", "evidence-false"])
     def test_recheck_bad_record_exit_3(self, tmp_path, capsys, line):
         if isinstance(line, str):
             line = line.encode()

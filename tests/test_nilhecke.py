@@ -8,10 +8,10 @@ from kkweyl.polyring import (
     MPoly, RatFn, ratfn_const, ratfn_normalize, root_linear_form,
     divide_by_linear,
 )
-from kkweyl import weyl
+from kkweyl import verify, weyl
 from kkweyl.weyl import (
     identity, simple_reflection, multiply, from_word, reduced_word,
-    enumerate_elements,
+    enumerate_elements, WeylError,
 )
 from kkweyl.nilhecke import (
     NHElt, NilHeckeEngine, NilHeckeError, BudgetExceeded, FactoredPoly,
@@ -90,11 +90,11 @@ class TestXw:
         assert xw.coefficient(identity(a2)) == example_coefficient(a2)
 
     def test_reduced_word_independence(self, e6):
-        engine = NilHeckeEngine(e6)
-        # all reduced words of each element up to length 4
+        # all reduced words of each element up to length 4, each folded on a
+        # fresh engine: on a shared one the element memo answers the second
         for w in enumerate_elements(e6, 4):
             words = all_reduced_words(w)
-            expansions = {engine.x_w(word) for word in words}
+            expansions = {NilHeckeEngine(e6).x_w(word) for word in words}
             assert len(expansions) == 1
 
     def test_nonreduced_rejected(self, a2_engine):
@@ -105,6 +105,53 @@ class TestXw:
         engine = NilHeckeEngine(e6, term_budget=5)
         with pytest.raises(BudgetExceeded):
             engine.x_w((1, 3, 4, 2, 5))
+
+
+class TestElementMemo:
+    """x_w depends on w alone, and the engine keeps one memo keyed by element."""
+
+    @pytest.mark.parametrize("system,max_len,folds", [("a3", 6, 23), ("e6", 4, 181)])
+    def test_one_fold_per_element(self, request, monkeypatch, system, max_len, folds):
+        rs = request.getfixturevalue(system)
+        steps = []
+        extend = NilHeckeEngine._extend_right
+
+        def counted(self, a, i):
+            steps.append(i)
+            return extend(self, a, i)
+
+        monkeypatch.setattr(NilHeckeEngine, "_extend_right", counted)
+        engine = NilHeckeEngine(rs)
+        for check in (verify.check_support_law, verify.check_oracle_equivalence,
+                      verify.check_dyer_shape):
+            res = check(engine, max_len)
+            assert res.ok and res.passed
+        # one step per non-identity element, whichever checks read x_w
+        assert len(steps) == folds == len(list(enumerate_elements(rs, max_len))) - 1
+
+    def test_hit_needs_no_reduced_word(self, a3, monkeypatch):
+        engine = NilHeckeEngine(a3)
+        xw = engine.x_w((1, 2, 1, 3))
+
+        def refuse(w):
+            raise AssertionError("reduced_word called for a memoised element")
+
+        monkeypatch.setattr(weyl, "reduced_word", refuse)
+        assert engine.x_of(from_word(a3, (1, 2, 1, 3))) is xw
+        assert engine.x_of(from_word(a3, (1, 2))) is engine.x_w((1, 2))
+        # another reduced word of the same element is a hit too
+        assert engine.x_w((2, 1, 2, 3)) is xw
+
+    def test_errors_and_clear_cache(self, a3):
+        engine = NilHeckeEngine(a3)
+        engine.x_w((1, 2, 3))
+        with pytest.raises(NilHeckeError):
+            engine.x_w((1, 2, 3, 3))
+        with pytest.raises(WeylError):
+            engine.x_w((1, 4))
+        assert len(engine._x_memo) == 4
+        engine.clear_cache()
+        assert engine._x_memo == {identity(a3): engine.delta_id()}
 
 
 def all_reduced_words(w):
@@ -149,9 +196,11 @@ class TestBruteForce:
         assert brute[identity(a2)] == example_coefficient(a2)
 
     def test_cap_enforced(self, e6):
-        engine = NilHeckeEngine(e6, brute_cap=2)
-        with pytest.raises(NilHeckeError):
-            engine.bruteforce_expansion((1, 3, 4))
+        word = (1, 3, 4, 5, 6, 1, 4, 3, 1, 2, 4, 5, 2)
+        assert len(word) == NilHeckeEngine.brute_cap + 1
+        assert from_word(e6, word).length == len(word)
+        with pytest.raises(NilHeckeError, match="brute-force cap"):
+            NilHeckeEngine(e6).bruteforce_expansion(word)
 
     def test_agrees_with_fold_a3(self, a3, a3_engine):
         for w in enumerate_elements(a3, 6):

@@ -218,9 +218,10 @@ class TestLowestTerms:
     @pytest.mark.parametrize("system,max_len", [("a3", 6), ("e6", 4)])
     def test_fold_coefficients(self, request, system, max_len):
         rs = request.getfixturevalue(system)
+        engine = NilHeckeEngine(rs)
         count = 0
-        for _, xw in NilHeckeEngine(rs).expand_by_length(max_len):
-            for _, c in xw.coeffs:
+        for w in enumerate_elements(rs, max_len):
+            for _, c in engine.x_of(w).coeffs:
                 assert in_lowest_terms(c)
                 assert c == ratfn_normalize(c)
                 count += 1
