@@ -89,8 +89,13 @@ class GoodPairCertificate:
     direct_inequality: Optional[bool] = None
 
 
-def _c1_max(rs: RootSystem, order: SimpleOrder) -> Root:
-    return max(first_column(rs, order), key=lambda r: lex_key(order, r))
+def _c1(rs: RootSystem, order: SimpleOrder) -> tuple[set[tuple[int, ...]], Optional[Root]]:
+    """The root vectors b of the first column C1, unsorted, and the top of C1
+    for E8 (None otherwise)."""
+    c = order.distinguished - 1
+    col = [r for r in rs.positive_roots if r.b[c] != 0]
+    top = max(col, key=lambda r: lex_key(order, r)) if rs.type_tag == "E8" else None
+    return {r.b for r in col}, top
 
 
 def _c1_meet(w: WeylElt, order: SimpleOrder, c1: set[tuple[int, ...]]) -> list[Root]:
@@ -122,7 +127,7 @@ def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
         raise AnalysisError("good pairs are defined for involutions")
     if bruhat is None:
         bruhat = BruhatOrder(rs)
-    c1 = {r.b for r in first_column(rs, order)}
+    c1, top = _c1(rs, order)
     betas = []
     for label, w in (("w1", w1), ("w2", w2)):
         meet = _c1_meet(w, order, c1)
@@ -130,8 +135,15 @@ def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
             raise NotAGoodPair(
                 f"support of {label} meets C1 in {len(meet)} roots, need exactly 1")
         betas.append(meet[0])
-    top = _c1_max(rs, order) if rs.type_tag == "E8" else None
     return _pair_clauses(w1, betas[0], w2, betas[1], top, bruhat)
+
+
+def implied_evidence(cert: GoodPairCertificate) -> DividesEvidence:
+    """The divisibility evidence the Bruhat sides imply: with side1, beta1
+    divides d_w2 and not d_w1; otherwise beta2 divides d_w1 and not d_w2."""
+    if cert.side1:
+        return DividesEvidence(cert.beta1, "w2", "w1")
+    return DividesEvidence(cert.beta2, "w1", "w2")
 
 
 def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
@@ -149,13 +161,9 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
     term budget, the certificate stays symbolic.
     """
     rs = engine.rs
-    if cert.side1:
-        root, div_label, nodiv_label = cert.beta1, "w2", "w1"
-    else:
-        root, div_label, nodiv_label = cert.beta2, "w1", "w2"
-    evidence = DividesEvidence(root, div_label, nodiv_label)
+    ev = implied_evidence(cert)
     if cert.w1.length > max_compute_len or cert.w2.length > max_compute_len:
-        return replace(cert, computed=False, divides_evidence=evidence)
+        return replace(cert, computed=False, divides_evidence=ev)
     try:
         d = {}
         for label, w in (("w1", cert.w1), ("w2", cert.w2)):
@@ -167,17 +175,17 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
                     kk_cache[w] = result
             d[label] = result.d_factored
     except BudgetExceeded:
-        return replace(cert, computed=False, divides_evidence=evidence)
-    k = rs.index_of_b[root.b]
-    if not d[div_label].divisible_by(k):
+        return replace(cert, computed=False, divides_evidence=ev)
+    k = rs.index_of_b[ev.root.b]
+    if not d[ev.divides].divisible_by(k):
         raise AnalysisError(
-            f"certificate inconsistent: {root.b} should divide d_{div_label}")
-    if d[nodiv_label].divisible_by(k):
+            f"certificate inconsistent: {ev.root.b} should divide d_{ev.divides}")
+    if d[ev.not_divides].divisible_by(k):
         raise AnalysisError(
-            f"certificate inconsistent: {root.b} should not divide d_{nodiv_label}")
+            f"certificate inconsistent: {ev.root.b} should not divide d_{ev.not_divides}")
     if d["w1"].equals(d["w2"]):
         raise AnalysisError("good pair with equal polynomials; contradiction")
-    return replace(cert, computed=True, divides_evidence=evidence,
+    return replace(cert, computed=True, divides_evidence=ev,
                    direct_inequality=True)
 
 
@@ -197,8 +205,7 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
     # The clauses that depend on one involution only are decided once each:
     # an involution takes part in a good pair only if its support meets C1 in
     # exactly one root beta.
-    c1 = {r.b for r in first_column(rs, order)}
-    top = _c1_max(rs, order) if rs.type_tag == "E8" else None
+    c1, top = _c1(rs, order)
     candidates = []
     for w in weyl.enumerate_involutions(rs, max_len):
         if w.is_identity():
@@ -215,30 +222,3 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
             if certify:
                 cert = certify_distinct(cert, engine, max_compute_len, kk_cache)
             yield cert
-
-
-def recheck_certificate(cert: GoodPairCertificate, rs: RootSystem,
-                        order: SimpleOrder,
-                        engine: Optional[NilHeckeEngine] = None,
-                        kk_cache: Optional[dict[WeylElt, KKResult]] = None) -> bool:
-    """Re-derive every claim of a certificate from scratch.
-
-    A computed certificate must carry exactly the evidence that
-    certify_distinct re-derives and a direct inequality; a symbolic one
-    carries no inequality claim, and either no evidence or the evidence its
-    sides imply."""
-    if engine is None:
-        engine = NilHeckeEngine(rs)
-    fresh = is_good_pair(cert.w1, cert.w2, rs, order, engine.bruhat)
-    if (fresh.beta1, fresh.beta2, fresh.side1, fresh.side2) != \
-            (cert.beta1, cert.beta2, cert.side1, cert.side2):
-        return False
-    if cert.computed:
-        redone = certify_distinct(fresh, engine, max_compute_len=10**9,
-                                  kk_cache=kk_cache)
-        return (redone.computed and redone.direct_inequality is True
-                and cert.direct_inequality is True
-                and cert.divides_evidence == redone.divides_evidence)
-    # a cap below every length gives the evidence the sides imply, uncomputed
-    implied = certify_distinct(fresh, engine, max_compute_len=-1).divides_evidence
-    return cert.direct_inequality is None and cert.divides_evidence in (None, implied)

@@ -230,7 +230,6 @@ class NilHeckeEngine:
         self.term_budget = term_budget
         self.bruhat = BruhatOrder(rs)
         self.clear_cache()
-        self._brute_memo: dict[Word, dict[WeylElt, RatFn]] = {}
 
     # -- basics -----------------------------------------------------------------
 
@@ -326,9 +325,6 @@ class NilHeckeEngine:
         if len(word) > self.brute_cap:
             raise NilHeckeError(
                 f"word length {len(word)} exceeds brute-force cap {self.brute_cap}")
-        hit = self._brute_memo.get(word)
-        if hit is not None:
-            return hit
         rs = self.rs
         elt = weyl.from_word(rs, word)
         if elt.length != len(word):
@@ -351,9 +347,7 @@ class NilHeckeEngine:
 
         go(0, weyl.identity(rs), one)
         sign = -1 if len(word) % 2 else 1
-        out = {v: ratfn_scale(f, sign) for v, f in sums.items() if not f.is_zero()}
-        self._brute_memo[word] = out
-        return out
+        return {v: ratfn_scale(f, sign) for v, f in sums.items() if not f.is_zero()}
 
     # -- Kostant-Kumar polynomial -----------------------------------------------------
 

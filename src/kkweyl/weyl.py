@@ -117,16 +117,18 @@ def first_left_descent(w: WeylElt) -> Optional[int]:
 
 
 def reduced_word(w: WeylElt) -> Word:
-    """Canonical reduced word: repeatedly strip the smallest left descent."""
-    out = []
-    cur = w
-    while True:
-        i = first_left_descent(cur)
-        if i is None:
-            break
-        out.append(i)
-        cur = multiply(simple_reflection(cur.rs, i), cur)
-    return tuple(out)
+    """Canonical reduced word: repeatedly strip the smallest left descent.
+    Computed once per element and kept in its instance dict, like length."""
+    word = w.__dict__.get("_word")
+    if word is None:
+        out = []
+        cur = w
+        while (i := first_left_descent(cur)) is not None:
+            out.append(i)
+            cur = multiply(simple_reflection(cur.rs, i), cur)
+        word = tuple(out)
+        object.__setattr__(w, "_word", word)
+    return word
 
 
 def reflection(rs: RootSystem, beta: Root) -> WeylElt:

@@ -216,7 +216,6 @@ def test_criterion_5_oracle_equivalence(e6, e6_engine):
         brute = e6_engine.bruteforce_expansion(reduced_word(w))
         assert e6_engine.x_of(w).as_dict() == brute
         checked += 1
-    e6_engine._brute_memo.clear()
     report(f"ACCEPTANCE 5: PASS - fold and brute-force expansions identical "
           f"for all {checked} E6 elements with l(w) <= 6")
 

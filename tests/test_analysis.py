@@ -9,8 +9,9 @@ from kkweyl.weyl import (
 from kkweyl.nilhecke import FactoredPoly, NilHeckeEngine
 from kkweyl.analysis import (
     AnalysisError, NotAGoodPair, prop35_factor, gen_table,
-    is_good_pair, certify_distinct, scan_good_pairs, recheck_certificate,
+    is_good_pair, certify_distinct, scan_good_pairs,
 )
+from kkweyl.cli import cert_to_json, record_checker
 
 
 @pytest.fixture(scope="module")
@@ -144,11 +145,12 @@ class TestScan:
                                      kk_cache=kk_cache))
         assert certs
         seen = set()
+        check = record_checker(e6, e6_natural, e6_engine)
         for cert in certs:
             key = frozenset((cert.w1.perm, cert.w2.perm))
             assert key not in seen   # emitted once, not also reversed
             seen.add(key)
-            assert recheck_certificate(cert, e6, e6_natural, e6_engine, kk_cache)
+            assert check(cert_to_json(cert))
 
 
     # E6 at length 8 holds the first involution whose support meets C1 twice
@@ -180,6 +182,7 @@ def test_certification_never_expands(e6, e6_natural, monkeypatch):
     engine = NilHeckeEngine(e6)
     certs = list(scan_good_pairs(e6, e6_natural, 3, engine, certify=True))
     assert certs
+    check = record_checker(e6, e6_natural, NilHeckeEngine(e6))
     for cert in certs:
         assert cert.computed and cert.direct_inequality is True
-        assert recheck_certificate(cert, e6, e6_natural)
+        assert check(cert_to_json(cert))

@@ -3,6 +3,7 @@ attribute, and the workloads and checks read engine and result fields.  A
 refactor that renames or removes one would break `bench/run.py`."""
 
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -27,3 +28,16 @@ def test_bench_selftest_passes():
     proc = subprocess.run([sys.executable, str(BENCH / "selftest.py")],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_traced_scan_e7_run():
+    """One traced scan-e7 run wraps every tracer target on a real unit, among
+    them weyl.reduced_word and cli.cert_to_json, and checks its output."""
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"),
+                           "--workload", "scan-e7", "--seed", "1",
+                           "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"]
+    assert result["attempted"] > 0 and result["failed"] == 0

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 
@@ -143,6 +144,14 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert f"rechecked {len(lines)} certificates, 0 failures" in capsys.readouterr().out
 
+    def test_certified_length_8_scan_rechecks(self, tmp_path, capsys):
+        # length 8 holds all 1,328 pairs whose certificates are computed
+        out = tmp_path / "certs.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "8",
+                     "--output", str(out)]) == 0
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
+        assert "rechecked 1328 certificates, 0 failures" in capsys.readouterr().out
+
     @pytest.mark.parametrize("line", [
         '{"w1": [1], "w2": [1, 3',                                # not JSON
         json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),
@@ -166,12 +175,20 @@ class TestGoodPairs:
         json.dumps({**COMPUTED_RECORD,
                     "divides_evidence": {**EVIDENCE, "root_b": [True, 0, 1, 0, 0, 0]}}),
         json.dumps({**GOOD_RECORD, "divides_evidence": False}),
+        # shapes the scan never writes
+        json.dumps({**GOOD_RECORD, "w2": [3, 1, 3]}),   # reduced, not canonical
+        json.dumps({**GOOD_RECORD, "divides_evidence": None}),
+        json.dumps({k: v for k, v in GOOD_RECORD.items()
+                    if k != "direct_inequality"}),
+        json.dumps({**GOOD_RECORD, "note": "extra"}),
     ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced",
             "deeply-nested", "not-utf8", "forged-evidence-root",
             "forged-no-inequality", "forged-no-evidence",
             "symbolic-forged-evidence", "symbolic-inequality-claim",
             "computed-string", "side1-int", "side2-float", "word-bool",
-            "root-float", "evidence-root-bool", "evidence-false"])
+            "root-float", "evidence-root-bool", "evidence-false",
+            "non-canonical-word", "null-evidence", "missing-inequality",
+            "extra-key"])
     def test_recheck_bad_record_exit_3(self, tmp_path, capsys, line):
         if isinstance(line, str):
             line = line.encode()
@@ -183,6 +200,39 @@ class TestGoodPairs:
         assert "FAIL line 1" not in err
         # the echo of a bad line is clipped, however long the line
         assert len(err) < 400
+
+    def test_recheck_maps_each_word_and_element_once(self, tmp_path, capsys,
+                                                     monkeypatch):
+        out = tmp_path / "certs.jsonl"
+        main(["good-pairs", "--type", "E6", "--max-len", "4",
+              "--no-certify", "--output", str(out)])
+        text = out.read_text()
+        out.write_text(text + text)   # every word appears in several records
+        words, computed, products = Counter(), Counter(), Counter()
+        from_word, reduced_word, multiply = (
+            weyl.from_word, weyl.reduced_word, weyl.multiply)
+
+        def counted_from_word(rs, word):
+            words[tuple(word)] += 1
+            return from_word(rs, word)
+
+        def counted_multiply(a, b):
+            products["n"] += 1
+            return multiply(a, b)
+
+        def counted_reduced_word(w):
+            before = products["n"]
+            word = reduced_word(w)
+            if products["n"] > before:   # the word was computed, not read back
+                computed[w.perm] += 1
+            return word
+
+        monkeypatch.setattr(weyl, "from_word", counted_from_word)
+        monkeypatch.setattr(weyl, "multiply", counted_multiply)
+        monkeypatch.setattr(weyl, "reduced_word", counted_reduced_word)
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
+        assert words and max(words.values()) == 1
+        assert computed and max(computed.values()) == 1
 
     def test_missing_recheck_file_exit_1(self, capsys):
         assert main(["good-pairs", "--type", "E6",
