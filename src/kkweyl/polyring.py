@@ -10,10 +10,22 @@ divides the numerator), given inputs in lowest terms.  Positive roots are
 pairwise non-associate primes of Q[a], so a root can cancel only at the roots
 shared by the denominators of a sum, at the one-sided roots of a product and
 at the new root of ratfn_mul_root_inverse; the Weyl action cancels none.
+
+Most of those candidate roots do not divide, and one evaluation proves it
+before any trial division.  Each positive root beta has a fixed point a0 with
+beta(a0) = 0 mod the prime P.  A root's coefficients have gcd 1 (it is a
+Weyl image of a simple root), so by Gauss's lemma an integral numerator
+num = beta * q has an integral q, and then num(a0) = beta(a0) q(a0) = 0
+mod P.  A nonzero num(a0) mod P therefore proves that beta does not divide
+num.  A zero value, or a numerator with a Fraction coefficient, goes to the
+exact divide_by_linear, so every result is the one exact trial division
+gives.
 """
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -22,6 +34,9 @@ from . import weyl
 from .weyl import WeylElt
 
 Coeff = int | Fraction
+
+# The prime of the divisibility pre-test in _cancel.
+P = (1 << 61) - 1
 
 
 class PolyError(ValueError):
@@ -209,6 +224,48 @@ def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
     })
 
 
+def _root_data(rs: RootSystem, k: int) -> tuple[MPoly, list[list[int]]]:
+    """The linear form of positive root k and the power tables of its point
+    a0 (powers[i][d] = a0_i^d mod P), made once per system in rs.root_memo.
+    a0 draws all coordinates but one from a generator seeded by k and solves
+    beta(a0) = 0 mod P for that one through the inverse of its coefficient
+    mod P, as an E8 root may have no coefficient +-1."""
+    data = rs.root_memo.get(k)
+    if data is None:
+        b = rs.positive_roots[k].b
+        rng = random.Random(k)
+        a0 = [rng.randrange(1, P) for _ in b]
+        j = next(i for i, c in enumerate(b) if c)
+        a0[j] = 0
+        a0[j] = -sum(c * x for c, x in zip(b, a0)) * pow(b[j], -1, P) % P
+        data = rs.root_memo[k] = (root_linear_form(rs, rs.positive_roots[k]),
+                                  [[1, x] for x in a0])
+    return data
+
+
+def _nonzero_mod_p(p: MPoly, powers: list[list[int]]) -> bool:
+    """Whether p has integer coefficients only and is nonzero mod P at the
+    point whose power tables are given."""
+    try:
+        total = _evaluate(p, powers)
+    except IndexError:  # an exponent past the tables: grow them to p's
+        top = max(map(max, p.terms))
+        for t in powers:
+            while len(t) <= top:
+                t.append(t[-1] * t[1] % P)
+        total = _evaluate(p, powers)
+    # a Fraction coefficient makes the total a Fraction
+    return type(total) is int and total % P != 0
+
+
+def _evaluate(p: MPoly, powers: list[list[int]]):
+    """p at a point, from the point's power tables, not reduced mod P."""
+    total = 0
+    for e, c in p.terms.items():
+        total += math.prod(map(list.__getitem__, powers, e), start=c)
+    return total
+
+
 def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
     """Division with remainder by a linear form with zero constant term.
 
@@ -274,12 +331,11 @@ def divides_linear(L: MPoly, p: MPoly) -> bool:
 
 def _action_forms(w: WeylElt) -> list[MPoly]:
     """Images of the variables: w(alpha_i) as linear forms, i = 1..n."""
-    rs = w.rs
     out = []
-    for i in range(1, rs.rank + 1):
+    for i in range(1, w.rs.rank + 1):
         signed = weyl.act_on_simple(w, i)
-        form = root_linear_form(rs, rs.root_at(abs(signed) * (1 if signed > 0 else -1)))
-        out.append(form)
+        form = _root_data(w.rs, abs(signed) - 1)[0]
+        out.append(form if signed > 0 else -form)
     return out
 
 
@@ -315,10 +371,7 @@ class RatFn:
     def render(self) -> str:
         if not self.den:
             return self.num.render()
-        den = "*".join(
-            f"({root_linear_form(self.rs, self.rs.positive_roots[k]).render()})"
-            for k in self.den
-        )
+        den = "*".join(f"({_root_data(self.rs, k)[0].render()})" for k in self.den)
         return f"({self.num.render()}) / {den}"
 
     def __repr__(self):
@@ -339,13 +392,15 @@ def ratfn_from_poly(rs: RootSystem, p: MPoly) -> RatFn:
 
 def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
     """num / den with each candidate root cancelled as often as it divides; as
-    roots are pairwise non-associate primes, one pass over them suffices."""
+    roots are pairwise non-associate primes, one pass over them suffices.  A
+    trial division is made only where num vanishes at the root's point mod P
+    (module docstring)."""
     if num.is_zero():
         return ratfn_zero(rs)
     den = list(den)
     for k in candidates:
-        form = root_linear_form(rs, rs.positive_roots[k])
-        while k in den:
+        form, powers = _root_data(rs, k)
+        while k in den and not _nonzero_mod_p(num, powers):
             q, r = divide_by_linear(num, form)
             if not r.is_zero():
                 break
@@ -362,7 +417,7 @@ def ratfn_normalize(f: RatFn) -> RatFn:
 def _den_product(rs: RootSystem, indices) -> MPoly:
     out = MPoly.const(rs.rank, 1)
     for k in indices:
-        out = out * root_linear_form(rs, rs.positive_roots[k])
+        out = out * _root_data(rs, k)[0]
     return out
 
 

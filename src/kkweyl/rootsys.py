@@ -2,8 +2,11 @@
 
 All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
 coefficient vectors are tuples of ints.  A RootSystem is immutable after
-construction; the only state it gains later is `reflection_memo`, which
-`weyl.reflection` fills lazily (positive-root index -> permutation of s_beta).
+construction; the only state it gains later is in two memos, each filled
+lazily and keyed by positive-root index: `reflection_memo`, which
+`weyl.reflection` fills with the permutation of s_beta, and `root_memo`,
+which `polyring` fills with the root's linear form and the power tables of a
+point on the root's hyperplane modulo a prime.
 """
 
 from __future__ import annotations
@@ -125,6 +128,7 @@ class RootSystem:
             for i in range(self.rank)
         )
         self.reflection_memo: dict[int, tuple[int, ...]] = {}
+        self.root_memo: dict[int, tuple] = {}
 
     # -- coordinate helpers -------------------------------------------------
 

@@ -47,7 +47,12 @@ class WeylElt:
         return all(x == k + 1 for k, x in enumerate(self.perm))
 
     def is_involution(self) -> bool:
-        return multiply(self, self).is_identity()
+        # Decided once and kept in the instance dict, as `length` is.
+        answer = self.__dict__.get("_is_involution")
+        if answer is None:
+            answer = multiply(self, self).is_identity()
+            object.__setattr__(self, "_is_involution", answer)
+        return answer
 
 
 def identity(rs: RootSystem) -> WeylElt:

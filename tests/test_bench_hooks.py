@@ -41,3 +41,20 @@ def test_traced_scan_e7_run():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["correct"]
     assert result["attempted"] > 0 and result["failed"] == 0
+
+
+def test_traced_fold_e6_run():
+    """One traced fold-e6 run: the fold makes only trial divisions that
+    succeed, and builds each of E6's 36 root linear forms at most once."""
+    proc = subprocess.run([sys.executable, str(BENCH / "run.py"),
+                           "--workload", "fold-e6", "--seed", "1",
+                           "--seconds", "1", "--trace", "1"],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"]
+    assert result["attempted"] > 0 and result["failed"] == 0
+    metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    assert (metrics["polyring.divide_by_linear.calls"]
+            == metrics["polyring.divide_by_linear.exact"])
+    assert metrics["polyring.root_linear_form.calls"] <= 36

@@ -8,7 +8,7 @@ from kkweyl.polyring import (
     MPoly, RatFn, ratfn_const, ratfn_normalize, root_linear_form,
     divide_by_linear,
 )
-from kkweyl import verify, weyl
+from kkweyl import polyring, verify, weyl
 from kkweyl.weyl import (
     identity, simple_reflection, multiply, from_word, reduced_word,
     enumerate_elements, WeylError,
@@ -17,7 +17,7 @@ from kkweyl.nilhecke import (
     NHElt, NilHeckeEngine, NilHeckeError, BudgetExceeded, FactoredPoly,
     product_formula_check,
 )
-from kkweyl.rootsys import direct_sum
+from kkweyl.rootsys import build_e_system, direct_sum
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +152,45 @@ class TestElementMemo:
         assert len(engine._x_memo) == 4
         engine.clear_cache()
         assert engine._x_memo == {identity(a3): engine.delta_id()}
+
+
+def longest_word(rs):
+    """The canonical reduced word of the longest element."""
+    w = identity(rs)
+    while True:
+        ascent = next((i for i in range(1, rs.rank + 1)
+                       if weyl.act_on_simple(w, i) > 0), None)
+        if ascent is None:
+            return reduced_word(w)
+        w = multiply(w, simple_reflection(rs, ascent))
+
+
+def test_fold_divides_only_where_a_root_cancels(monkeypatch):
+    """On the E6 longest-element word, the mod-P pre-test rules out every
+    trial division that would fail, and each root's linear form is built
+    once per system."""
+    rs = build_e_system("E6")
+    word = longest_word(rs)
+    assert len(word) == 36
+    divisions, forms = [], []
+    divide, make_form = polyring.divide_by_linear, polyring.root_linear_form
+
+    def counted_divide(p, L):
+        out = divide(p, L)
+        divisions.append(out[1].is_zero())
+        return out
+
+    def counted_form(rs, beta):
+        forms.append(beta.b)
+        return make_form(rs, beta)
+
+    monkeypatch.setattr(polyring, "divide_by_linear", counted_divide)
+    monkeypatch.setattr(polyring, "root_linear_form", counted_form)
+    engine = NilHeckeEngine(rs)
+    for p in range(1, 11):
+        engine.x_w(word[:p])
+    assert divisions and all(divisions)
+    assert forms and len(forms) == len(set(forms))
 
 
 def all_reduced_words(w):

@@ -8,8 +8,10 @@ from kkweyl.polyring import (
     divides_linear, weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
     ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale, _den_product,
+    _cancel, _root_data, P,
 )
-from kkweyl import weyl
+from kkweyl import polyring, weyl
+from kkweyl.rootsys import build_e_system
 from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import simple_reflection, multiply, from_word, enumerate_elements
 
@@ -269,3 +271,83 @@ class TestLowestTerms:
                 acted = weyl_act_ratfn(w, f)
                 assert in_lowest_terms(acted)
                 assert acted == ratfn_normalize(acted)
+
+
+def cancel_by_trial_division(rs, num, den, candidates):
+    """The reference for _cancel: an exact trial division by every candidate
+    root, as often as it divides."""
+    den = list(den)
+    for k in candidates:
+        form = root_linear_form(rs, rs.positive_roots[k])
+        while k in den:
+            q, r = divide_by_linear(num, form)
+            if not r.is_zero():
+                break
+            num = q
+            den.remove(k)
+    return RatFn(rs, num, tuple(sorted(den)))
+
+
+class TestCancelPreTest:
+    """_cancel skips a trial division where the numerator is nonzero mod P at
+    a point on the root's hyperplane; its results are those of trial division."""
+
+    @pytest.mark.parametrize("system", ["a3", "e6", "e7", "e8"])
+    def test_points_lie_on_their_hyperplanes(self, request, system):
+        rs = request.getfixturevalue(system)
+        for k, beta in enumerate(rs.positive_roots):
+            form, powers = _root_data(rs, k)
+            assert form == root_linear_form(rs, beta)
+            assert sum(b * t[1] for b, t in zip(beta.b, powers)) % P == 0
+            assert _root_data(rs, k)[0] is form
+
+    def test_root_cancels_from_its_multiple(self):
+        e6 = build_e_system("E6")
+        rng = random.Random(37)
+        for k, beta in enumerate(e6.positive_roots):
+            form = root_linear_form(e6, beta)
+            q = random_poly(rng, 6, nterms=5, maxdeg=4)
+            if q.is_zero() or divides_linear(form, q):
+                continue
+            assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
+            assert _cancel(e6, form * q, (k, k), (k,)) == RatFn(e6, q, (k,))
+            # the power tables grow to the largest exponent used, no further
+            top = max(max(e) for e in (form * q).terms)
+            assert all(len(t) == top + 1 for t in _root_data(e6, k)[1])
+
+    def test_fraction_numerator_takes_the_exact_path(self, e6, monkeypatch):
+        calls = []
+        divide = polyring.divide_by_linear
+
+        def counted(p, L):
+            calls.append(p)
+            return divide(p, L)
+
+        monkeypatch.setattr(polyring, "divide_by_linear", counted)
+        k = e6.index_of_b[(1, 1, 1, 1, 0, 0)]
+        form = root_linear_form(e6, e6.positive_roots[k])
+        q = MPoly(6, {(1, 0, 0, 0, 0, 2): Fraction(1, 3), (0, 1, 0, 0, 0, 0): 2})
+        assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
+        assert calls
+
+    @pytest.mark.parametrize("system", ["a3", "e6"])
+    def test_agrees_with_trial_division(self, request, system):
+        rs = request.getfixturevalue(system)
+        rng = random.Random(41)
+        nroots = len(rs.positive_roots)
+        cancels = kept = 0
+        for trial in range(300):
+            den = [rng.randrange(nroots) for _ in range(rng.randrange(1, 5))]
+            num = random_poly(rng, rs.rank)
+            if trial % 7 == 0:
+                num = num.scale(Fraction(1, rng.randrange(2, 5)))
+            for k in rng.sample(den, rng.randrange(len(den) + 1)):
+                num = num * root_linear_form(rs, rs.positive_roots[k])
+            if num.is_zero():
+                continue
+            candidates = set(den)
+            got = _cancel(rs, num, tuple(den), candidates)
+            assert got == cancel_by_trial_division(rs, num, den, candidates)
+            cancels += len(got.den) < len(den)
+            kept += bool(got.den)
+        assert cancels >= 50 and kept >= 50

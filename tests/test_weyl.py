@@ -54,6 +54,17 @@ class TestLengthAndWords:
         for i in range(1, 7):
             assert simple_reflection(e6, i).length == 1
 
+    def test_is_involution_decided_once(self, e6, monkeypatch):
+        w = from_word(e6, (1, 3, 1))
+        assert w.is_involution()
+        assert not from_word(e6, (1, 3)).is_involution()
+
+        def refuse(a, b):
+            raise AssertionError("multiply called for a decided element")
+
+        monkeypatch.setattr(weyl, "multiply", refuse)
+        assert w.is_involution()
+
     def test_e6_eleven_letter_word(self, e6):
         w = from_word(e6, (2, 4, 3, 5, 6, 4, 5, 2, 4, 3, 1))
         assert w.length == 11
