@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Optional
 
 from .rootsys import RootSystem, SimpleOrder, build_from_cartan, direct_sum
@@ -40,6 +41,39 @@ class VerifyResult:
                 for k, x in instance.items()}
 
 
+def _length_ends(elements: list[WeylElt], max_len: int) -> list[int]:
+    """ends[L] = number of elements of length <= L.  enumerate_elements yields
+    by nondecreasing length, so those elements are elements[:ends[L]]."""
+    counts = [0] * (max_len + 1)
+    for w in elements:
+        counts[w.length] += 1
+    return list(accumulate(counts))
+
+
+def product_pairs(elements: list[WeylElt], max_len: int) -> list[tuple[WeylElt, WeylElt]]:
+    """All (v, w) with l(v) + l(w) <= max_len, v-major in enumeration order."""
+    ends = _length_ends(elements, max_len)
+    return [(v, w) for v in elements for w in elements[:ends[max_len - v.length]]]
+
+
+def recursion_triples(elements: list[WeylElt], rank: int) -> list[tuple]:
+    """(w, v, i, right, left) for each w != id, each letter i that is a right
+    or a left descent of w, and each v with l(v) <= l(w)."""
+    ends = _length_ends(elements, elements[-1].length)
+    triples = []
+    for w in elements:
+        if w.is_identity():
+            continue
+        below = elements[:ends[w.length]]
+        w_inv = weyl.inverse(w)
+        for i in range(1, rank + 1):
+            right = weyl.act_on_simple(w, i) < 0          # l(w s_i) < l(w)
+            left = weyl.act_on_simple(w_inv, i) < 0       # l(s_i w) < l(w)
+            if right or left:
+                triples.extend((w, v, i, right, left) for v in below)
+    return triples
+
+
 def check_product_law(engine: NilHeckeEngine, max_len: int,
                       sample: Optional[int] = None,
                       seed: int = 0) -> VerifyResult:
@@ -47,8 +81,7 @@ def check_product_law(engine: NilHeckeEngine, max_len: int,
     res = VerifyResult("product_law_2a")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
-    pairs = [(v, w) for v in elements for w in elements
-             if v.length + w.length <= max_len]
+    pairs = product_pairs(elements, max_len)
     if sample is not None and len(pairs) > sample:
         pairs = random.Random(seed).sample(pairs, sample)
     for v, w in pairs:
@@ -68,17 +101,7 @@ def check_recursions(engine: NilHeckeEngine, max_len: int,
     res = VerifyResult("recursions_2b_2c")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
-    triples = []
-    for w in elements:
-        if w.is_identity():
-            continue
-        for i in range(1, rs.rank + 1):
-            right = weyl.act_on_simple(w, i) < 0          # l(w s_i) < l(w)
-            left = weyl.act_on_simple(weyl.inverse(w), i) < 0  # l(s_i w) < l(w)
-            if right or left:
-                for v in elements:
-                    if v.length <= w.length:
-                        triples.append((w, v, i, right, left))
+    triples = recursion_triples(elements, rs.rank)
     if sample is not None and len(triples) > sample:
         triples = random.Random(seed).sample(triples, sample)
     for w, v, i, right, left in triples:
@@ -96,12 +119,13 @@ def check_support_law(engine: NilHeckeEngine, max_len: int) -> VerifyResult:
     against the subword oracle on the same range."""
     res = VerifyResult("support_law")
     elements = list(weyl.enumerate_elements(engine.rs, max_len))
+    ends = _length_ends(elements, max_len)
     for w in elements:
         interval = weyl.bruhat_interval_subword(w)
         ok = engine.x_of(w).support() == interval
         ok = ok and all(
             engine.bruhat.leq(v, w) == (v in interval)
-            for v in elements if v.length <= w.length
+            for v in elements[:ends[w.length]]
         )
         res.record(ok, w=w)
     return res

@@ -8,6 +8,7 @@ of an element is its number of inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Optional
 
 from .rootsys import Root, RootSystem, SimpleOrder, lex_key
@@ -165,37 +166,55 @@ def reflection(rs: RootSystem, beta: Root) -> WeylElt:
 # -- Bruhat order ------------------------------------------------------------
 
 class BruhatOrder:
-    """Bruhat comparison via the lifting-property recursion, memoized."""
+    """Bruhat comparison by the lifting property on right descents, memoized.
+
+    If s_i is a right descent of w (l(w s_i) < l(w)), then v <= w exactly when
+    v s_i <= w s_i if s_i is also a right descent of v, and v <= w s_i if it
+    is not (Bjorner-Brenti, Combinatorics of Coxeter Groups, Prop. 2.2.7,
+    transported to the right by inversion, which preserves Bruhat order).
+    The recursion stays on raw signed permutations with their lengths passed
+    down: s_i is a right descent of w when w(alpha_i) is negative, one entry
+    of w.perm, and w s_i is w.perm read through the positive-root table of s_i
+    with the slot of alpha_i, the one root s_i makes negative, negated.
+    """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
+        # per letter: (slot of alpha_i, getter reading w.perm in the order
+        # of s_i on the positive roots).  With one positive root the getter
+        # returns a bare entry, but there no w is longer than a v != id, so
+        # _leq never steps.
+        self._steps = tuple(
+            (j, itemgetter(*(abs(t) - 1 for t in row)))
+            for j, row in zip(rs.simple_index, rs.reflection_table))
 
     def leq(self, v: WeylElt, w: WeylElt) -> bool:
         if v.rs is not self.rs or w.rs is not self.rs:
             raise WeylError("elements from a different root system")
-        return self._leq(v, w)
+        return self._leq(v.perm, v.length, w.perm, w.length)
 
-    def _leq(self, v: WeylElt, w: WeylElt) -> bool:
-        if v.is_identity():
+    def _leq(self, pv: tuple[int, ...], lv: int,
+             pw: tuple[int, ...], lw: int) -> bool:
+        if lv == 0:
             return True
-        lv, lw = v.length, w.length
-        if lv > lw:
-            return False
-        if lv == lw:
-            return v == w
-        key = (v.perm, w.perm)
+        if lv >= lw:
+            return lv == lw and pv == pw
+        key = (pv, pw)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        i = first_left_descent(w)
-        s = simple_reflection(self.rs, i)
-        sw = multiply(s, w)
-        sv = multiply(s, v)
-        if sv.length < lv:
-            out = self._leq(sv, sw)
+        for j, get in self._steps:
+            if pw[j] < 0:
+                break
+        ws = get(pw)
+        ws = ws[:j] + (-ws[j],) + ws[j + 1:]
+        if pv[j] < 0:
+            vs = get(pv)
+            vs = vs[:j] + (-vs[j],) + vs[j + 1:]
+            out = self._leq(vs, lv - 1, ws, lw - 1)
         else:
-            out = self._leq(v, sw)
+            out = self._leq(pv, lv, ws, lw - 1)
         self._memo[key] = out
         return out
 
@@ -243,7 +262,12 @@ def parabolic_factorize(w: WeylElt, I: frozenset[int] | set[int]) -> tuple[WeylE
 
 def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
     """Orthogonal support of an involution: greedily extract the lex-maximal
-    negated positive root and peel its reflection off, until the identity."""
+    negated positive root and peel its reflection off, until the identity.
+    The roots of the last order asked are kept in the instance dict, like
+    length; each call returns a fresh list."""
+    cached = w.__dict__.get("_support")
+    if cached is not None and cached[0] == order:
+        return list(cached[1])
     rs = w.rs
     if not w.is_involution():
         raise WeylError("support is defined for involutions only")
@@ -256,6 +280,7 @@ def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
         beta = max(negated, key=lambda r: lex_key(order, r))
         out.append(beta)
         cur = multiply(reflection(rs, beta), cur)
+    object.__setattr__(w, "_support", (order, tuple(out)))
     return out
 
 

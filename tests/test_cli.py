@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -233,6 +234,16 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert words and max(words.values()) == 1
         assert computed and max(computed.values()) == 1
+
+    def test_e7_scan_file_pinned(self, tmp_path, capsys):
+        # the Bruhat side flags are what the scan writes
+        out = tmp_path / "e7.jsonl"
+        assert main(["good-pairs", "--type", "E7", "--max-len", "6",
+                     "--no-certify", "--output", str(out)]) == 0
+        data = out.read_bytes()
+        assert data.count(b"\n") == 900
+        assert hashlib.sha256(data).hexdigest() == \
+            "ed1451f29715bca32f9ab06aa735e0683cfe0f316ccccd72ed9f9cc5ec840e8a"
 
     def test_missing_recheck_file_exit_1(self, capsys):
         assert main(["good-pairs", "--type", "E6",

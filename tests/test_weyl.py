@@ -127,6 +127,44 @@ class TestBruhat:
                 if v.length <= w.length:
                     assert order.leq(v, w) == (v in interval)
 
+    def test_agrees_with_subword_oracle_e6_lengths_6_to_8(self, e6):
+        order = BruhatOrder(e6)
+        elements = list(enumerate_elements(e6, 8))
+        targets = [w for w in elements if w.length >= 6]
+        for w in random.Random(10).sample(targets, 12):
+            interval = bruhat_interval_subword(w)
+            for v in elements:
+                if v.length <= w.length:
+                    assert order.leq(v, w) == (v in interval)
+
+    def test_agrees_with_subword_oracle_e7(self, e7):
+        order = BruhatOrder(e7)
+        elements = list(enumerate_elements(e7, 4))
+        for w in elements:
+            interval = bruhat_interval_subword(w)
+            for v in elements:
+                assert order.leq(v, w) == (v in interval)
+
+    def test_invariant_under_inversion_a3(self, a3):
+        order = BruhatOrder(a3)
+        elements = list(enumerate_elements(a3, 6))
+        for w in elements:
+            for v in elements:
+                assert order.leq(v, w) == order.leq(inverse(v), inverse(w))
+
+    def test_builds_no_group_element(self, e6, monkeypatch):
+        elements = list(enumerate_elements(e6, 4))
+        for w in elements:
+            w.length   # counted before the recursion runs
+
+        def refuse(a, b):
+            raise AssertionError("multiply called inside the Bruhat recursion")
+
+        monkeypatch.setattr(weyl, "multiply", refuse)
+        order = BruhatOrder(e6)
+        below = sum(order.leq(v, w) for v in elements for w in elements)
+        assert below > len(elements)
+
 
 class TestParabolic:
     def test_w_in_parabolic(self, e6):
@@ -216,6 +254,22 @@ class TestSupport:
                 for beta in perm:
                     prod = multiply(prod, reflection(e6, beta))
                 assert prod == w
+
+    def test_kept_per_order(self, e6, e6_natural, e6_alternate, monkeypatch):
+        w = from_word(e6, (1, 6))   # the two orders list its roots apart
+        first = support(w, e6_natural)
+        first.append(e6.positive_roots[0])   # the caller's list is its own
+
+        def refuse(a, b):
+            raise AssertionError("multiply called for a kept support")
+
+        with monkeypatch.context() as m:
+            m.setattr(weyl, "multiply", refuse)
+            assert support(w, e6_natural) == first[:-1]
+        fresh = from_word(e6, (1, 6))
+        for order in (e6_alternate, e6_natural, e6_alternate):
+            assert support(w, order) == support(fresh, order)
+        assert support(w, e6_natural) != support(w, e6_alternate)
 
     def test_non_involution_rejected(self, a3):
         with pytest.raises(WeylError):
