@@ -20,11 +20,16 @@ mod P.  A nonzero num(a0) mod P therefore proves that beta does not divide
 num.  A zero value, or a numerator with a Fraction coefficient, goes to the
 exact divide_by_linear, so every result is the one exact trial division
 gives.
+
+The numerators of a fold share few monomials, so each root memoises the
+value mod P of every monomial it has met at its point a0; an evaluation is
+then one sum of coefficient times memoised value.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -142,7 +147,7 @@ class MPoly:
                             del out[ka]
                 continue
             for ka, ca in a.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
+                k = tuple(map(operator.add, ka, kb))
                 p = ca * cb
                 v = out.get(k)
                 if v is None:
@@ -224,10 +229,25 @@ def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
     })
 
 
-def _root_data(rs: RootSystem, k: int) -> tuple[MPoly, list[list[int]]]:
-    """The linear form of positive root k and the power tables of its point
-    a0 (powers[i][d] = a0_i^d mod P), made once per system in rs.root_memo.
-    a0 draws all coordinates but one from a generator seeded by k and solves
+class _MonomialValues(dict):
+    """Monomial exponent tuple -> its value mod P at the point a0, each
+    computed on first read."""
+
+    __slots__ = ("point",)
+
+    def __init__(self, point: list[int]):
+        super().__init__()
+        self.point = point
+
+    def __missing__(self, e: tuple[int, ...]) -> int:
+        v = self[e] = math.prod(pow(x, d, P) for x, d in zip(self.point, e)) % P
+        return v
+
+
+def _root_data(rs: RootSystem, k: int) -> tuple[MPoly, _MonomialValues]:
+    """The linear form of positive root k and the monomial values at its
+    point a0, made once per system in rs.root_memo.  a0 draws all
+    coordinates but one from a generator seeded by k and solves
     beta(a0) = 0 mod P for that one through the inverse of its coefficient
     mod P, as an E8 root may have no coefficient +-1."""
     data = rs.root_memo.get(k)
@@ -239,31 +259,16 @@ def _root_data(rs: RootSystem, k: int) -> tuple[MPoly, list[list[int]]]:
         a0[j] = 0
         a0[j] = -sum(c * x for c, x in zip(b, a0)) * pow(b[j], -1, P) % P
         data = rs.root_memo[k] = (root_linear_form(rs, rs.positive_roots[k]),
-                                  [[1, x] for x in a0])
+                                  _MonomialValues(a0))
     return data
 
 
-def _nonzero_mod_p(p: MPoly, powers: list[list[int]]) -> bool:
+def _nonzero_mod_p(p: MPoly, values: _MonomialValues) -> bool:
     """Whether p has integer coefficients only and is nonzero mod P at the
-    point whose power tables are given."""
-    try:
-        total = _evaluate(p, powers)
-    except IndexError:  # an exponent past the tables: grow them to p's
-        top = max(map(max, p.terms))
-        for t in powers:
-            while len(t) <= top:
-                t.append(t[-1] * t[1] % P)
-        total = _evaluate(p, powers)
+    point whose monomial values are given."""
+    total = sum(map(operator.mul, p.terms.values(), map(values.__getitem__, p.terms)))
     # a Fraction coefficient makes the total a Fraction
     return type(total) is int and total % P != 0
-
-
-def _evaluate(p: MPoly, powers: list[list[int]]):
-    """p at a point, from the point's power tables, not reduced mod P."""
-    total = 0
-    for e, c in p.terms.items():
-        total += math.prod(map(list.__getitem__, powers, e), start=c)
-    return total
 
 
 def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
@@ -399,8 +404,8 @@ def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
         return ratfn_zero(rs)
     den = list(den)
     for k in candidates:
-        form, powers = _root_data(rs, k)
-        while k in den and not _nonzero_mod_p(num, powers):
+        form, values = _root_data(rs, k)
+        while k in den and not _nonzero_mod_p(num, values):
             q, r = divide_by_linear(num, form)
             if not r.is_zero():
                 break
@@ -412,13 +417,6 @@ def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
 def ratfn_normalize(f: RatFn) -> RatFn:
     """Cancel every denominator root that divides the numerator."""
     return _cancel(f.rs, f.num, f.den, set(f.den))
-
-
-def _den_product(rs: RootSystem, indices) -> MPoly:
-    out = MPoly.const(rs.rank, 1)
-    for k in indices:
-        out = out * _root_data(rs, k)[0]
-    return out
 
 
 def _multiset_diff(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
@@ -442,8 +440,12 @@ def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
     extra_f = _multiset_diff(g.den, f.den)  # factors f is missing
     extra_g = _multiset_diff(f.den, g.den)
     lcm = tuple(sorted(list(f.den) + extra_f))
-    num = f.num * _den_product(f.rs, extra_f) + g.num * _den_product(f.rs, extra_g)
-    return _cancel(f.rs, num, lcm, set(f.den) & set(g.den))
+    num_f, num_g = f.num, g.num
+    for k in extra_f:
+        num_f = num_f * _root_data(f.rs, k)[0]
+    for k in extra_g:
+        num_g = num_g * _root_data(f.rs, k)[0]
+    return _cancel(f.rs, num_f + num_g, lcm, set(f.den) & set(g.den))
 
 
 def ratfn_neg(f: RatFn) -> RatFn:

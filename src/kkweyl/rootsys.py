@@ -4,9 +4,10 @@ All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-r
 coefficient vectors are tuples of ints.  A RootSystem is immutable after
 construction; the only state it gains later is in two memos, each filled
 lazily and keyed by positive-root index: `reflection_memo`, which
-`weyl.reflection` fills with the permutation of s_beta, and `root_memo`,
-which `polyring` fills with the root's linear form and the power tables of a
-point on the root's hyperplane modulo a prime.
+`weyl.reflection` fills with the group element s_beta itself (so its cached
+length is kept), and `root_memo`, which `polyring` fills with the root's
+linear form and a dict from each monomial met so far to its value, modulo a
+prime, at a point on the root's hyperplane.
 """
 
 from __future__ import annotations
@@ -127,7 +128,7 @@ class RootSystem:
                   for r in self.positive_roots)
             for i in range(self.rank)
         )
-        self.reflection_memo: dict[int, tuple[int, ...]] = {}
+        self.reflection_memo: dict = {}  # root index -> weyl.WeylElt s_beta
         self.root_memo: dict[int, tuple] = {}
 
     # -- coordinate helpers -------------------------------------------------

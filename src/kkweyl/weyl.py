@@ -140,16 +140,18 @@ def reduced_word(w: WeylElt) -> Word:
 def reflection(rs: RootSystem, beta: Root) -> WeylElt:
     """The reflection s_beta for a positive root beta.
 
-    Each permutation is built on first use and memoised on rs by the index of
+    Each element is built on first use and memoised on rs by the index of
     beta: C beta once (C the Cartan matrix), then one dot product per root.
+    Every call returns the memoised element, so what the element caches, its
+    length among them, is computed once per system.
     """
     if not beta.positive:
         raise WeylError("reflection expects a positive root")
     k = rs.index_of_b.get(beta.b)
     if k is None:
         raise WeylError(f"{beta.b} is not a root of this system")
-    perm = rs.reflection_memo.get(k)
-    if perm is None:
+    s = rs.reflection_memo.get(k)
+    if s is None:
         c_beta = [sum(a * b for a, b in zip(row, beta.b)) for row in rs.cartan]
         perm = []
         for j, r in enumerate(rs.positive_roots):
@@ -159,8 +161,8 @@ def reflection(rs: RootSystem, beta: Root) -> WeylElt:
             else:
                 perm.append(rs._signed_index(
                     tuple(g - c * bb for g, bb in zip(r.b, beta.b))))
-        perm = rs.reflection_memo[k] = tuple(perm)
-    return WeylElt(rs, perm)
+        s = rs.reflection_memo[k] = WeylElt(rs, tuple(perm))
+    return s
 
 
 # -- Bruhat order ------------------------------------------------------------

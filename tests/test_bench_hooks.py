@@ -45,7 +45,8 @@ def test_traced_scan_e7_run():
 
 def test_traced_fold_e6_run():
     """One traced fold-e6 run: the fold makes only trial divisions that
-    succeed, and builds each of E6's 36 root linear forms at most once."""
+    succeed, builds each of E6's 36 root linear forms at most once, and
+    makes no more MPoly products than one per missing root of a sum."""
     proc = subprocess.run([sys.executable, str(BENCH / "run.py"),
                            "--workload", "fold-e6", "--seed", "1",
                            "--seconds", "1", "--trace", "1"],
@@ -58,3 +59,4 @@ def test_traced_fold_e6_run():
     assert (metrics["polyring.divide_by_linear.calls"]
             == metrics["polyring.divide_by_linear.exact"])
     assert metrics["polyring.root_linear_form.calls"] <= 36
+    assert metrics["polyring.mpoly_mul.calls"] <= 5260

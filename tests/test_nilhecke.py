@@ -193,6 +193,29 @@ def test_fold_divides_only_where_a_root_cancels(monkeypatch):
     assert forms and len(forms) == len(set(forms))
 
 
+def test_fold_multiplies_by_one_root_form_at_a_time(monkeypatch):
+    """The fold multiplies each summand's numerator by the root forms it
+    lacks, one at a time: the multiplier of every MPoly product is a
+    memoised root form itself, never the constant 1 or a product of roots.
+    (A numerator may itself be 1, as in the coefficient 1/alpha of x_i.)"""
+    rs = build_e_system("E6")
+    word = longest_word(rs)
+    multipliers = []
+    mul = MPoly.__mul__
+
+    def recorded(a, b):
+        multipliers.append(b)
+        return mul(a, b)
+
+    monkeypatch.setattr(MPoly, "__mul__", recorded)
+    engine = NilHeckeEngine(rs)
+    for p in range(1, 11):
+        engine.x_w(word[:p])
+    forms = [form for form, _ in rs.root_memo.values()]
+    assert multipliers
+    assert all(any(b is form for form in forms) for b in multipliers)
+
+
 def all_reduced_words(w):
     if w.is_identity():
         return [()]

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,11 @@ from kkweyl.polyring import (
     MPoly, RatFn, PolyError, root_linear_form, divide_by_linear,
     divides_linear, weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
-    ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale, _den_product,
+    ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale,
     _cancel, _root_data, P,
 )
 from kkweyl import polyring, weyl
+from kkweyl.cli import build_system
 from kkweyl.rootsys import build_e_system
 from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import simple_reflection, multiply, from_word, enumerate_elements
@@ -194,6 +196,14 @@ class TestRatFn:
         assert ratfn_normalize(weyl_act_ratfn(s1, acted)) == ratfn_normalize(f)
 
 
+def roots_product(rs, indices):
+    """The product of the positive roots with the given indices."""
+    out = MPoly.const(rs.rank, 1)
+    for k in indices:
+        out = out * root_linear_form(rs, rs.positive_roots[k])
+    return out
+
+
 def in_lowest_terms(f):
     """No denominator root divides the numerator, by trial division alone."""
     return not any(divides_linear(root_linear_form(f.rs, f.rs.positive_roots[k]), f.num)
@@ -247,7 +257,7 @@ class TestLowestTerms:
             den = tuple(sorted(f.den + g.den))
             total = ratfn_add(f, g)
             assert total == ratfn_normalize(RatFn(
-                a3, f.num * _den_product(a3, g.den) + g.num * _den_product(a3, f.den),
+                a3, f.num * roots_product(a3, g.den) + g.num * roots_product(a3, f.den),
                 den))
             assert in_lowest_terms(total)
             if total.is_zero():
@@ -293,16 +303,25 @@ class TestCancelPreTest:
     a point on the root's hyperplane; its results are those of trial division."""
 
     @pytest.mark.parametrize("system", ["a3", "e6", "e7", "e8"])
-    def test_points_lie_on_their_hyperplanes(self, request, system):
-        rs = request.getfixturevalue(system)
+    def test_points_lie_on_their_hyperplanes(self, system):
+        rs = build_system(system.upper())  # fresh: every root's data is made here
         for k, beta in enumerate(rs.positive_roots):
-            form, powers = _root_data(rs, k)
+            form, values = _root_data(rs, k)
             assert form == root_linear_form(rs, beta)
-            assert sum(b * t[1] for b, t in zip(beta.b, powers)) % P == 0
+            assert sum(b * x for b, x in zip(beta.b, values.point, strict=True)) % P == 0
+            assert not values  # filled only by evaluations
             assert _root_data(rs, k)[0] is form
 
-    def test_root_cancels_from_its_multiple(self):
+    def test_root_cancels_from_its_multiple(self, monkeypatch):
         e6 = build_e_system("E6")
+        evaluated = {}
+        nonzero = polyring._nonzero_mod_p
+
+        def recorded(p, values):
+            evaluated.setdefault(id(values), set()).update(p.terms)
+            return nonzero(p, values)
+
+        monkeypatch.setattr(polyring, "_nonzero_mod_p", recorded)
         rng = random.Random(37)
         for k, beta in enumerate(e6.positive_roots):
             form = root_linear_form(e6, beta)
@@ -311,9 +330,11 @@ class TestCancelPreTest:
                 continue
             assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
             assert _cancel(e6, form * q, (k, k), (k,)) == RatFn(e6, q, (k,))
-            # the power tables grow to the largest exponent used, no further
-            top = max(max(e) for e in (form * q).terms)
-            assert all(len(t) == top + 1 for t in _root_data(e6, k)[1])
+            # the memo holds the monomials evaluated, each at its value mod P
+            values = _root_data(e6, k)[1]
+            assert set(values) == evaluated[id(values)] >= set((form * q).terms)
+            for e, v in values.items():
+                assert v == math.prod(pow(x, d, P) for x, d in zip(values.point, e)) % P
 
     def test_fraction_numerator_takes_the_exact_path(self, e6, monkeypatch):
         calls = []

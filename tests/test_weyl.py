@@ -221,6 +221,25 @@ class TestReflection:
             assert reflection(rs, beta) == s   # second call, from the memo
         assert len(rs.reflection_memo) == len(rs.positive_roots)
 
+    def test_memo_returns_the_element_with_its_length(self):
+        """Each call returns the memoised element itself, so its length is
+        counted once: the second read visits no entry of the permutation."""
+        rs = build_e_system("E6")
+        beta = rs.root_from_b((1, 2, 2, 3, 2, 1))
+        s = reflection(rs, beta)
+        assert s.length == 21
+        visits = []
+
+        class CountedPerm(tuple):
+            def __iter__(self):
+                visits.append(1)
+                return super().__iter__()
+
+        object.__setattr__(s, "perm", CountedPerm(s.perm))
+        t = reflection(rs, beta)
+        assert t is s
+        assert t.length == 21 and not visits
+
     def test_negative_root_rejected(self, e6):
         with pytest.raises(WeylError):
             reflection(e6, e6.positive_roots[3].negated())
