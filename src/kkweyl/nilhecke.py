@@ -265,11 +265,10 @@ class NilHeckeEngine:
         u(alpha_i).  The coefficients at u and u s_i differ only in sign, so
         each pair {u, u s_i} costs one add and one root inverse."""
         rs = self.rs
-        s = weyl.simple_reflection(rs, i)
         coeffs = a.as_dict()
         out: dict[WeylElt, RatFn] = {}
         for v, f in a.coeffs:
-            vs = weyl.multiply(v, s)
+            vs = weyl.multiply_simple(v, i)
             if vs not in out:
                 total = ratfn_add(f, coeffs.get(vs, ratfn_zero(rs)))
                 out[vs] = ratfn_mul_root_inverse(total, weyl.act_on_simple(v, i))

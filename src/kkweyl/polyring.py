@@ -130,7 +130,15 @@ class MPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        # b is the smaller operand; special-case tiny multipliers for speed
+        # b is the smaller operand.  One term of b maps the keys of a one to
+        # one, and nonzero coefficients have a nonzero product, so a single
+        # term needs no merging and no zero test.
+        if len(b) == 1:
+            (kb, cb), = b.items()
+            if any(kb):
+                return MPoly(self.n, {tuple(map(operator.add, ka, kb)): ca * cb
+                                      for ka, ca in a.items()})
+            return MPoly(self.n, {ka: ca * cb for ka, ca in a.items()})
         out: dict[tuple[int, ...], Coeff] = {}
         for kb, cb in b.items():
             if not any(kb):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Optional, Sequence
 
 Rat = Fraction
@@ -98,6 +99,13 @@ def _e8_simple_eps() -> list[tuple[Rat, ...]]:
     return [tuple(Fraction(x) for x in v) for v in out]
 
 
+def _tuple_getter(indices: list[int]):
+    if len(indices) == 1:
+        k = indices[0]
+        return lambda p: (p[k],)
+    return itemgetter(*indices)
+
+
 class RootSystem:
     """Simply-laced root system with an indexed, ordered set of positive roots."""
 
@@ -128,6 +136,13 @@ class RootSystem:
                   for r in self.positive_roots)
             for i in range(self.rank)
         )
+        # right_steps[i] = (slot of alpha_{i+1}, getter reading a signed
+        # permutation w in the order of s_{i+1} on the positive roots): the
+        # reading, with the slot negated, is w s_{i+1}.  A getter always
+        # returns a tuple; itemgetter of one index returns a bare entry.
+        self.right_steps = tuple(
+            (j, _tuple_getter([abs(t) - 1 for t in row]))
+            for j, row in zip(self.simple_index, self.reflection_table))
         self.reflection_memo: dict = {}  # root index -> weyl.WeylElt s_beta
         self.root_memo: dict[int, tuple] = {}
 

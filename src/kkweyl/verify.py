@@ -7,9 +7,10 @@ counterexample on failure.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
-from typing import Optional
+from itertools import accumulate, islice
+from typing import Iterator, Optional
 
 from .rootsys import RootSystem, SimpleOrder, build_from_cartan, direct_sum
 from . import weyl
@@ -50,28 +51,52 @@ def _length_ends(elements: list[WeylElt], max_len: int) -> list[int]:
     return list(accumulate(counts))
 
 
-def product_pairs(elements: list[WeylElt], max_len: int) -> list[tuple[WeylElt, WeylElt]]:
-    """All (v, w) with l(v) + l(w) <= max_len, v-major in enumeration order."""
+def product_blocks(elements: list[WeylElt], max_len: int) -> list[tuple]:
+    """The product-law cases (v, w) with l(v) + l(w) <= max_len, as blocks
+    ((v,), n): v pairs with each w in elements[:n]."""
     ends = _length_ends(elements, max_len)
-    return [(v, w) for v in elements for w in elements[:ends[max_len - v.length]]]
+    return [((v,), ends[max_len - v.length]) for v in elements]
 
 
-def recursion_triples(elements: list[WeylElt], rank: int) -> list[tuple]:
-    """(w, v, i, right, left) for each w != id, each letter i that is a right
-    or a left descent of w, and each v with l(v) <= l(w)."""
+def recursion_blocks(elements: list[WeylElt], rank: int) -> list[tuple]:
+    """The recursion cases as blocks ((w, i, right, left), n): one for each
+    w != id and each letter i that is a right or a left descent of w, pairing
+    with each v in elements[:n], the v with l(v) <= l(w)."""
     ends = _length_ends(elements, elements[-1].length)
-    triples = []
+    blocks = []
     for w in elements:
         if w.is_identity():
             continue
-        below = elements[:ends[w.length]]
+        n = ends[w.length]
         w_inv = weyl.inverse(w)
         for i in range(1, rank + 1):
             right = weyl.act_on_simple(w, i) < 0          # l(w s_i) < l(w)
             left = weyl.act_on_simple(w_inv, i) < 0       # l(s_i w) < l(w)
             if right or left:
-                triples.extend((w, v, i, right, left) for v in below)
-    return triples
+                blocks.append(((w, i, right, left), n))
+    return blocks
+
+
+def draw_cases(elements: list[WeylElt], blocks: list[tuple],
+               sample: Optional[int], seed: int) -> Iterator[tuple]:
+    """Yield (head, x) for each block (head, n) and each x in elements[:n],
+    in block order.  When `sample` is set and below the number of cases,
+    yield instead the cases random.Random(seed).sample would draw from that
+    list, in its order: random.sample picks positions from the list's length
+    alone, so each position is decoded through the prefix sums of the block
+    sizes and no case list is built.  Memory stays linear in the number of
+    elements while the cases grow quadratically."""
+    ends = list(accumulate(n for _, n in blocks))
+    total = ends[-1] if ends else 0
+    if sample is None or total <= sample:
+        for head, n in blocks:
+            for x in islice(elements, n):
+                yield head, x
+        return
+    for j in random.Random(seed).sample(range(total), sample):
+        b = bisect_right(ends, j)
+        head, n = blocks[b]
+        yield head, elements[j - ends[b] + n]
 
 
 def check_product_law(engine: NilHeckeEngine, max_len: int,
@@ -81,10 +106,8 @@ def check_product_law(engine: NilHeckeEngine, max_len: int,
     res = VerifyResult("product_law_2a")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
-    pairs = product_pairs(elements, max_len)
-    if sample is not None and len(pairs) > sample:
-        pairs = random.Random(seed).sample(pairs, sample)
-    for v, w in pairs:
+    blocks = product_blocks(elements, max_len)
+    for (v,), w in draw_cases(elements, blocks, sample, seed):
         prod = engine.nh_mul(engine.x_of(v), engine.x_of(w))
         vw = weyl.multiply(v, w)
         if vw.length == v.length + w.length:
@@ -101,10 +124,8 @@ def check_recursions(engine: NilHeckeEngine, max_len: int,
     res = VerifyResult("recursions_2b_2c")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
-    triples = recursion_triples(elements, rs.rank)
-    if sample is not None and len(triples) > sample:
-        triples = random.Random(seed).sample(triples, sample)
-    for w, v, i, right, left in triples:
+    blocks = recursion_blocks(elements, rs.rank)
+    for (w, i, right, left), v in draw_cases(elements, blocks, sample, seed):
         ok = True
         if right:
             ok = ok and engine.recursion_check_b(w, v, i)

@@ -8,7 +8,6 @@ of an element is its number of inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Iterator, Optional
 
 from .rootsys import Root, RootSystem, SimpleOrder, lex_key
@@ -77,6 +76,17 @@ def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
         for x in b.perm
     )
     return WeylElt(a.rs, out)
+
+
+def multiply_simple(w: WeylElt, i: int) -> WeylElt:
+    """w s_i (i 1-based) from one read of w.perm through rs.right_steps, with
+    its length set: l(w) + 1 when w(alpha_i) is positive, l(w) - 1 when not."""
+    j, get = w.rs.right_steps[i - 1]
+    p = get(w.perm)
+    x = p[j]
+    out = WeylElt(w.rs, p[:j] + (-x,) + p[j + 1:])
+    object.__setattr__(out, "_length", w.length + (1 if x > 0 else -1))
+    return out
 
 
 def inverse(a: WeylElt) -> WeylElt:
@@ -177,19 +187,14 @@ class BruhatOrder:
     The recursion stays on raw signed permutations with their lengths passed
     down: s_i is a right descent of w when w(alpha_i) is negative, one entry
     of w.perm, and w s_i is w.perm read through the positive-root table of s_i
-    with the slot of alpha_i, the one root s_i makes negative, negated.
+    (rs.right_steps, which multiply_simple reads too) with the slot of
+    alpha_i, the one root s_i makes negative, negated.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
         self._memo: dict[tuple[tuple[int, ...], tuple[int, ...]], bool] = {}
-        # per letter: (slot of alpha_i, getter reading w.perm in the order
-        # of s_i on the positive roots).  With one positive root the getter
-        # returns a bare entry, but there no w is longer than a v != id, so
-        # _leq never steps.
-        self._steps = tuple(
-            (j, itemgetter(*(abs(t) - 1 for t in row)))
-            for j, row in zip(rs.simple_index, rs.reflection_table))
+        self._steps = rs.right_steps
 
     def leq(self, v: WeylElt, w: WeylElt) -> bool:
         if v.rs is not self.rs or w.rs is not self.rs:

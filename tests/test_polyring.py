@@ -58,6 +58,31 @@ class TestPolyArithmetic:
             p, q, r = (random_poly(rng, 3) for _ in range(3))
             assert p * (q + r) == p * q + p * r
 
+    def test_single_term_factor(self):
+        # one-term factors take a short path; compare with the product summed
+        # term by term
+        def termwise(p, q):
+            out = MPoly.zero(p.n)
+            for ka, ca in p.terms.items():
+                for kb, cb in q.terms.items():
+                    k = tuple(x + y for x, y in zip(ka, kb))
+                    out = out + MPoly(p.n, {k: ca * cb})
+            return out
+
+        rng = random.Random(11)
+        polys = [random_poly(rng, 3, nterms=6) for _ in range(5)]
+        polys.append(MPoly(3, {(1, 0, 0): Fraction(1, 2), (0, 0, 2): 3,
+                               (0, 0, 0): Fraction(-5, 3)}))
+        factors = [MPoly.const(3, -1), MPoly.const(3, 1), MPoly.const(3, 7),
+                   MPoly.const(3, Fraction(3, 2)),
+                   MPoly(3, {(0, 1, 0): -1}), MPoly(3, {(2, 0, 1): 4}),
+                   MPoly(3, {(1, 1, 0): Fraction(-2, 3)})]
+        for p in polys:
+            for q in factors:
+                assert p * q == termwise(p, q)
+                assert q * p == termwise(p, q)
+        assert (polys[0] * MPoly.const(3, -1)) == -polys[0]
+
     def test_scale(self):
         p = MPoly(2, {(1, 1): 2})
         assert p.scale(Fraction(1, 2)) == MPoly(2, {(1, 1): 1})

@@ -41,6 +41,17 @@ class TestGroupStructure:
         for w in enumerate_elements(a3, 6):
             assert multiply(w, inverse(w)).is_identity()
 
+    @pytest.mark.parametrize("system, max_len", [("a1", 1), ("a3", 6), ("e6", 4)])
+    def test_multiply_simple_is_multiply(self, request, system, max_len):
+        # A1 has one positive root, where a one-index getter returns no tuple
+        rs = request.getfixturevalue(system)
+        for w in enumerate_elements(rs, max_len):
+            for i in range(1, rs.rank + 1):
+                step = weyl.multiply_simple(w, i)
+                expected = multiply(w, simple_reflection(rs, i))
+                assert step.perm == expected.perm
+                assert step.length == expected.length
+
     def test_mixed_systems_rejected(self, a2, a3):
         with pytest.raises(WeylError):
             multiply(identity(a2), identity(a3))
