@@ -46,7 +46,7 @@ def prop35_factor(rs: RootSystem, order: SimpleOrder, beta: Root) -> FactorRow:
         raise AnalysisError("parabolic factorization failed to recompose")
     if u.length + v.length != s_beta.length:
         raise AnalysisError("length additivity violated")
-    expected_u = weyl.multiply(weyl.inverse(v), weyl.simple_reflection(rs, c))
+    expected_u = weyl.multiply_simple(weyl.inverse(v), c)
     premise_ok = (u == expected_u) and u.length == v.length + 1
     return FactorRow(
         beta=beta,

@@ -179,7 +179,7 @@ def cmd_kk(args) -> int:
     word = parse_word(args.word, rs.rank)
     cur = weyl.identity(rs)
     for pos, i in enumerate(word):
-        nxt = weyl.multiply(cur, weyl.simple_reflection(rs, i))
+        nxt = weyl.multiply_simple(cur, i)
         if nxt.length != cur.length + 1:
             prefix = " ".join(str(j) for j in word[:pos + 1])
             print(f"error: word is not reduced at prefix '{prefix}'",

@@ -285,15 +285,14 @@ class NilHeckeEngine:
         """x_w for a reduced word of w.  x_w depends on w alone, so the memo is
         keyed by element: each prefix element is looked up, or folded from the
         previous one with one x_i.  A non-reduced word raises NilHeckeError."""
-        rs = self.rs
         word = tuple(word)
-        u = weyl.identity(rs)
+        u = weyl.identity(self.rs)
         elt = self._x_memo[u]
         for i in word:
-            s = weyl.simple_reflection(rs, i)
-            if weyl.act_on_simple(u, i) < 0:      # l(u s_i) < l(u)
+            nxt = weyl.multiply_simple(u, i)
+            if nxt.length < u.length:
                 raise NilHeckeError(f"word {word} is not reduced")
-            u = weyl.multiply(u, s)
+            u = nxt
             hit = self._x_memo.get(u)
             if hit is None:
                 hit = self._x_memo[u] = self._extend_right(elt, i)
@@ -358,10 +357,11 @@ class NilHeckeEngine:
         """
         t0 = time.monotonic()
         c = self.c_w(w)
-        if len(set(c.den)) != len(c.den):
+        den = set(c.den)
+        if len(den) != len(c.den):
             raise NilHeckeError(
                 f"residual denominator with multiplicity: {c.den}; arithmetic bug")
-        remaining = [k for k in range(len(self.rs.positive_roots)) if k not in set(c.den)]
+        remaining = [k for k in range(len(self.rs.positive_roots)) if k not in den]
         sign = -1 if w.length % 2 else 1
         unit = c.num.scale(sign)
         factored = FactoredPoly(self.rs, unit, tuple(remaining))
@@ -375,13 +375,11 @@ class NilHeckeEngine:
     def recursion_check_b(self, w: WeylElt, v: WeylElt, i: int) -> bool:
         """c_{w,v} = -v(alpha_i)^{-1} (c_{w s_i, v} + c_{w s_i, v s_i}),
         valid when l(w s_i) = l(w) - 1."""
-        rs = self.rs
-        s = weyl.simple_reflection(rs, i)
-        ws = weyl.multiply(w, s)
+        ws = weyl.multiply_simple(w, i)
         if ws.length != w.length - 1:
             raise NilHeckeError("recursion (b) requires l(w s_i) = l(w) - 1")
         lhs = self.c_wv(w, v)
-        inner = ratfn_add(self.c_wv(ws, v), self.c_wv(ws, weyl.multiply(v, s)))
+        inner = ratfn_add(self.c_wv(ws, v), self.c_wv(ws, weyl.multiply_simple(v, i)))
         rhs = ratfn_neg(ratfn_mul_root_inverse(inner, weyl.act_on_simple(v, i)))
         return lhs == rhs
 

@@ -132,7 +132,7 @@ class RootSystem:
         )
         # reflection_table[i][k] = signed 1-based index of s_{alpha_{i+1}}(pos_k)
         self.reflection_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._signed_index(self._reflect_b(i, r.b))
+            tuple(self._signed_index(_reflect_simple(cartan, i, r.b))
                   for r in self.positive_roots)
             for i in range(self.rank)
         )
@@ -168,14 +168,6 @@ class RootSystem:
                 total += ai * sum(row[j] * bj for j, bj in enumerate(b.b) if bj)
         return total
 
-    def _reflect_b(self, i: int, b: tuple[int, ...]) -> tuple[int, ...]:
-        c = sum(self.cartan[i][j] * bj for j, bj in enumerate(b) if bj)
-        if not c:
-            return b
-        out = list(b)
-        out[i] -= c
-        return tuple(out)
-
     def _signed_index(self, b: tuple[int, ...]) -> int:
         k = self.index_of_b.get(b)
         if k is not None:
@@ -206,6 +198,16 @@ def _unit(n: int, i: int) -> tuple[int, ...]:
     return tuple(1 if j == i else 0 for j in range(n))
 
 
+def _reflect_simple(cartan, i: int, b: tuple[int, ...]) -> tuple[int, ...]:
+    """s_{i+1}(b) for a vector b of simple-root coefficients (i 0-based)."""
+    c = sum(cartan[i][j] * bj for j, bj in enumerate(b) if bj)
+    if not c:
+        return b
+    out = list(b)
+    out[i] -= c
+    return tuple(out)
+
+
 def _close_positive(cartan) -> list[tuple[int, ...]]:
     """Positive roots: closure of the simple roots under simple reflections."""
     n = len(cartan)
@@ -216,12 +218,7 @@ def _close_positive(cartan) -> list[tuple[int, ...]]:
         new = set()
         for b in frontier:
             for i in range(n):
-                c = sum(cartan[i][j] * bj for j, bj in enumerate(b) if bj)
-                if not c:
-                    continue
-                r = list(b)
-                r[i] -= c
-                r = tuple(r)
+                r = _reflect_simple(cartan, i, b)
                 if r not in pos and all(x >= 0 for x in r):
                     new.add(r)
         pos |= new

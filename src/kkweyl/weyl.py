@@ -8,7 +8,7 @@ of an element is its number of inversions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .rootsys import Root, RootSystem, SimpleOrder, lex_key
 
@@ -80,7 +80,11 @@ def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
 
 def multiply_simple(w: WeylElt, i: int) -> WeylElt:
     """w s_i (i 1-based) from one read of w.perm through rs.right_steps, with
-    its length set: l(w) + 1 when w(alpha_i) is positive, l(w) - 1 when not."""
+    its length set: l(w) + 1 when w(alpha_i) is positive, l(w) - 1 when not.
+    Every right step w s_i of the library goes through here; the subword and
+    brute-force oracles keep the generic multiply."""
+    if not 1 <= i <= w.rs.rank:
+        raise WeylError(f"simple index {i} out of range")
     j, get = w.rs.right_steps[i - 1]
     p = get(w.perm)
     x = p[j]
@@ -118,30 +122,24 @@ def act_on_simple(w: WeylElt, i: int) -> int:
 def from_word(rs: RootSystem, word: Word) -> WeylElt:
     w = identity(rs)
     for i in word:
-        w = multiply(w, simple_reflection(rs, i))
+        w = multiply_simple(w, i)
     return w
-
-
-def first_left_descent(w: WeylElt) -> Optional[int]:
-    """Smallest i with l(s_i w) < l(w), i.e. w^{-1}(alpha_i) negative, i.e.
-    w sends some positive root to -alpha_i."""
-    perm = w.perm
-    for i, k in enumerate(w.rs.simple_index, 1):
-        if -(k + 1) in perm:
-            return i
-    return None
 
 
 def reduced_word(w: WeylElt) -> Word:
     """Canonical reduced word: repeatedly strip the smallest left descent.
+    A left descent s_i of w is a right descent of u = w^{-1}, read off as
+    u(alpha_i) < 0, and s_i w = (u s_i)^{-1}, so the walk steps u to the right.
     Computed once per element and kept in its instance dict, like length."""
     word = w.__dict__.get("_word")
     if word is None:
         out = []
-        cur = w
-        while (i := first_left_descent(cur)) is not None:
+        u = inverse(w)
+        simple = w.rs.simple_index
+        while u.length:
+            i = next(i for i, k in enumerate(simple, 1) if u.perm[k] < 0)
             out.append(i)
-            cur = multiply(simple_reflection(cur.rs, i), cur)
+            u = multiply_simple(u, i)
         word = tuple(out)
         object.__setattr__(w, "_word", word)
     return word
@@ -251,18 +249,17 @@ def parabolic_factorize(w: WeylElt, I: frozenset[int] | set[int]) -> tuple[WeylE
 
     l(u s_i) > l(u) for every i in I, and l(w) = l(u) + l(v).
     """
-    rs = w.rs
     u = w
     v_word: list[int] = []
     while True:
         for i in sorted(I):
             if act_on_simple(u, i) < 0:
-                u = multiply(u, simple_reflection(rs, i))
+                u = multiply_simple(u, i)
                 v_word.insert(0, i)
                 break
         else:
             break
-    return u, from_word(rs, tuple(v_word))
+    return u, from_word(w.rs, tuple(v_word))
 
 
 # -- involutions ---------------------------------------------------------------
@@ -307,7 +304,7 @@ def enumerate_elements(rs: RootSystem, max_len: int) -> Iterator[WeylElt]:
         for w in layer:
             for i in range(1, rs.rank + 1):
                 if act_on_simple(w, i) > 0:
-                    ws = multiply(w, simple_reflection(rs, i))
+                    ws = multiply_simple(w, i)
                     nxt.setdefault(ws.perm, ws)
         layer = [nxt[k] for k in sorted(nxt)]
         yield from layer

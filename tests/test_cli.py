@@ -157,6 +157,8 @@ class TestGoodPairs:
         '{"w1": [1], "w2": [1, 3',                                # not JSON
         json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),
         json.dumps({**GOOD_RECORD, "w1": [9]}),                   # no letter 9
+        json.dumps({**GOOD_RECORD, "w1": [0]}),                   # no letter 0
+        json.dumps({**GOOD_RECORD, "w1": [-1]}),                  # no letter -1
         json.dumps({**GOOD_RECORD, "w1": [1, 1, 1]}),             # not reduced
         "[" * 100_000,                          # nested beyond the parser's depth
         b'\xff\xfe{"w1":[1]}',                                    # not UTF-8
@@ -182,7 +184,8 @@ class TestGoodPairs:
         json.dumps({k: v for k, v in GOOD_RECORD.items()
                     if k != "direct_inequality"}),
         json.dumps({**GOOD_RECORD, "note": "extra"}),
-    ], ids=["not-json", "missing-key", "letter-out-of-range", "not-reduced",
+    ], ids=["not-json", "missing-key", "letter-out-of-range", "letter-zero",
+            "letter-negative", "not-reduced",
             "deeply-nested", "not-utf8", "forged-evidence-root",
             "forged-no-inequality", "forged-no-evidence",
             "symbolic-forged-evidence", "symbolic-inequality-claim",
@@ -209,27 +212,27 @@ class TestGoodPairs:
               "--no-certify", "--output", str(out)])
         text = out.read_text()
         out.write_text(text + text)   # every word appears in several records
-        words, computed, products = Counter(), Counter(), Counter()
-        from_word, reduced_word, multiply = (
-            weyl.from_word, weyl.reduced_word, weyl.multiply)
+        words, computed, inverses = Counter(), Counter(), Counter()
+        from_word, reduced_word, inverse = (
+            weyl.from_word, weyl.reduced_word, weyl.inverse)
 
         def counted_from_word(rs, word):
             words[tuple(word)] += 1
             return from_word(rs, word)
 
-        def counted_multiply(a, b):
-            products["n"] += 1
-            return multiply(a, b)
+        def counted_inverse(a):
+            inverses["n"] += 1
+            return inverse(a)
 
         def counted_reduced_word(w):
-            before = products["n"]
+            before = inverses["n"]
             word = reduced_word(w)
-            if products["n"] > before:   # the word was computed, not read back
+            if inverses["n"] > before:   # the word was computed, not read back
                 computed[w.perm] += 1
             return word
 
         monkeypatch.setattr(weyl, "from_word", counted_from_word)
-        monkeypatch.setattr(weyl, "multiply", counted_multiply)
+        monkeypatch.setattr(weyl, "inverse", counted_inverse)
         monkeypatch.setattr(weyl, "reduced_word", counted_reduced_word)
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert words and max(words.values()) == 1

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -39,6 +40,36 @@ class TestBuildESystem:
     def test_unknown_type_rejected(self):
         with pytest.raises(RootSystemError):
             build_e_system("E9")
+
+
+class TestRootTables:
+    # sha256 of repr((positive roots' b in index order, simple_index,
+    # reflection_table)): the index order every signed permutation is read in
+    PINS = {
+        "A1": "fc3b444bbb6bef23e1b854d981addac764db460eedde0b1796122a2d5b7276f7",
+        "A2": "870e1f9b9cdb467326bb636fc1dd35e753867e8dcf60daeffb73d2a46aa1b65d",
+        "A3": "4a894a2a96bfe916164af49f76f4e4d71ea09223d0fcc65ca296837cc2fcd4ab",
+        "A4": "d3fadd17a43d2ac3c4955c81ad5cb1150ed12cde554e5276dde419bff832e3c9",
+        "A5": "5c9cbc73f194690b5743feb53ce4a2ecb29327d399c451d99940b8f2c7bb6a9d",
+        "A6": "7a1eaa0d85fe077c00345a60692e41bd798159e023e4e351d82ea6faf11993ae",
+        "A7": "a3e87b326ef4fd968c1b864b8a1ff625655403d213553362c0bc5c4ada8106d5",
+        "E6": "1239d5d8f5dd3271eda3b9a56ba887b16c948d0a665982ab930b06f3a109fe73",
+        "E7": "7e95506da25a03e99598c166535cfa252225063ab16813388c1fc27f198751d4",
+        "E8": "36288ef5f2ce9af5072d4b5f8bbd03095dd1b80b13a1f1c3fece459cb7be2a61",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINS))
+    def test_tables_pinned(self, name):
+        if name[0] == "E":
+            rs = build_e_system(name)
+        else:
+            n = int(name[1:])
+            rs = build_from_cartan(
+                [[2 if i == j else -1 if abs(i - j) == 1 else 0
+                  for j in range(n)] for i in range(n)])
+        data = repr((tuple(r.b for r in rs.positive_roots), rs.simple_index,
+                     rs.reflection_table))
+        assert hashlib.sha256(data.encode()).hexdigest() == self.PINS[name]
 
 
 class TestBuildFromCartan:

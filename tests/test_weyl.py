@@ -5,11 +5,24 @@ import pytest
 
 from kkweyl.rootsys import SimpleOrder, build_e_system, reflect
 from kkweyl import weyl
+from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import (
-    WeylError, identity, simple_reflection, multiply, inverse, act_on_root,
+    WeylElt, WeylError, identity, simple_reflection, multiply, inverse, act_on_root,
     from_word, reduced_word, reflection, BruhatOrder, bruhat_interval_subword,
     parabolic_factorize, support, enumerate_involutions, enumerate_elements,
 )
+
+
+def left_descent_word(w):
+    """Reference canonical word: strip the smallest left descent s_i, the
+    smallest i with -alpha_i among the images w(beta), by generic products."""
+    word = []
+    while not w.is_identity():
+        i = next(i for i, k in enumerate(w.rs.simple_index, 1)
+                 if -(k + 1) in w.perm)
+        word.append(i)
+        w = multiply(simple_reflection(w.rs, i), w)
+    return tuple(word)
 
 
 class TestGroupStructure:
@@ -57,6 +70,39 @@ class TestGroupStructure:
             multiply(identity(a2), identity(a3))
 
 
+class TestRightStep:
+    """multiply_simple is the one way library code forms w s_i."""
+
+    @pytest.mark.parametrize("system", ["a3", "e6"])
+    def test_letter_out_of_range_rejected(self, request, system):
+        rs = request.getfixturevalue(system)
+        w = from_word(rs, (1, 2))
+        for i in (0, -1, rs.rank + 1):
+            with pytest.raises(WeylError):
+                weyl.multiply_simple(w, i)
+            with pytest.raises(WeylError):
+                from_word(rs, (1, i))
+            with pytest.raises(WeylError):
+                NilHeckeEngine(rs).x_w((1, i))
+
+    def test_builds_no_generic_product(self, e6, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("multiply called for a right step")
+
+        monkeypatch.setattr(weyl, "multiply", refuse)
+        word = (1, 3, 4, 2, 5, 4, 3, 1)
+        w = from_word(e6, word)
+        assert w.length == len(word)
+        elements = list(enumerate_elements(e6, 4))
+        assert len(elements) == 1 + 6 + 20 + 50 + 105
+        for v in elements:
+            fresh = WeylElt(e6, v.perm)
+            assert len(reduced_word(fresh)) == v.length
+            u, p = parabolic_factorize(fresh, {2, 3, 4, 5, 6})
+            assert u.length + p.length == v.length
+        assert len(NilHeckeEngine(e6).x_w(word).support()) > 1
+
+
 class TestLengthAndWords:
     def test_identity_length(self, e6):
         assert identity(e6).length == 0
@@ -79,6 +125,13 @@ class TestLengthAndWords:
     def test_e6_eleven_letter_word(self, e6):
         w = from_word(e6, (2, 4, 3, 5, 6, 4, 5, 2, 4, 3, 1))
         assert w.length == 11
+
+    @pytest.mark.parametrize("system, max_len", [("e6", 8), ("e7", 5), ("e8", 4)])
+    def test_reduced_word_strips_smallest_left_descent(self, request, system,
+                                                       max_len):
+        rs = request.getfixturevalue(system)
+        for w in enumerate_elements(rs, max_len):
+            assert reduced_word(WeylElt(rs, w.perm)) == left_descent_word(w)
 
     def test_reduced_word_roundtrip(self, e6):
         for w in enumerate_elements(e6, 4):
