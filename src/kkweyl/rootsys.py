@@ -4,10 +4,11 @@ All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-r
 coefficient vectors are tuples of ints.  A RootSystem is immutable after
 construction; the only state it gains later is in two memos, each filled
 lazily and keyed by positive-root index: `reflection_memo`, which
-`weyl.reflection` fills with the group element s_beta itself (so its cached
-length is kept), and `root_memo`, which `polyring` fills with the root's
-linear form and a dict from each monomial met so far to its value, modulo a
-prime, at a point on the root's hyperplane.
+`weyl.reflection` and `weyl.simple_reflection` fill with the group element
+s_beta itself (so its cached length and table are kept), and `root_memo`,
+which `polyring` fills with the root's linear form and a dict from each
+monomial met so far to its value, modulo a prime, at a point on the root's
+hyperplane.
 """
 
 from __future__ import annotations

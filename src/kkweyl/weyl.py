@@ -3,14 +3,20 @@
 An element stores, for each positive root index k (0-based), the signed
 1-based index of its image.  Multiplication is table composition; the length
 of an element is its number of inversions.
+
+`WeylElt` has `__slots__`: `rs`, `perm`, one slot per answer it keeps once
+computed (length, canonical word, support, involution test) and its signed
+table `(0,) + perm + (negated perm, reversed)`, built when it is first the
+left operand of `multiply`.  The table maps a signed index x to a(x) (a
+negative x reads from the end), so a*b is one `itemgetter` read of a's table
+through b.perm.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterator
 
-from .rootsys import Root, RootSystem, SimpleOrder, lex_key
+from .rootsys import Root, RootSystem, SimpleOrder, _tuple_getter, lex_key
 
 Word = tuple[int, ...]
 
@@ -19,10 +25,16 @@ class WeylError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class WeylElt:
-    rs: RootSystem = field(compare=False, repr=False)
-    perm: tuple[int, ...]
+    __slots__ = ("rs", "perm", "_length", "_word", "_support", "_is_involution",
+                 "_table")
+
+    def __init__(self, rs: RootSystem, perm: tuple[int, ...],
+                 length: int | None = None):
+        self.rs = rs
+        self.perm = perm
+        self._length = length
+        self._word = self._support = self._is_involution = self._table = None
 
     def __hash__(self):
         return hash(self.perm)
@@ -30,28 +42,33 @@ class WeylElt:
     def __eq__(self, other):
         return isinstance(other, WeylElt) and self.perm == other.perm
 
+    def __repr__(self):
+        return f"WeylElt(perm={self.perm!r})"
+
     def __mul__(self, other: "WeylElt") -> "WeylElt":
         return multiply(self, other)
 
     @property
     def length(self) -> int:
-        # Counted once per element and kept in the instance dict; equality,
-        # hash and repr stay on perm.
-        n = self.__dict__.get("_length")
+        # Counted once per element and kept in its slot; equality, hash and
+        # repr stay on perm.
+        n = self._length
         if n is None:
-            n = sum(1 for x in self.perm if x < 0)
-            object.__setattr__(self, "_length", n)
+            n = self._length = sum(1 for x in self.perm if x < 0)
         return n
 
     def is_identity(self) -> bool:
-        return all(x == k + 1 for k, x in enumerate(self.perm))
+        return self.length == 0
 
     def is_involution(self) -> bool:
-        # Decided once and kept in the instance dict, as `length` is.
-        answer = self.__dict__.get("_is_involution")
+        # w(w(beta_k)) = beta_k for every positive root, read off the perm and
+        # decided once, as `length` is.
+        answer = self._is_involution
         if answer is None:
-            answer = multiply(self, self).is_identity()
-            object.__setattr__(self, "_is_involution", answer)
+            p = self.perm
+            answer = self._is_involution = all(
+                p[x - 1] == k if x > 0 else p[-x - 1] == -k
+                for k, x in enumerate(p, 1))
         return answer
 
 
@@ -60,22 +77,28 @@ def identity(rs: RootSystem) -> WeylElt:
 
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
-    """The reflection s_i in the simple root alpha_i (1-based)."""
+    """The reflection s_i in the simple root alpha_i (1-based): the element
+    that `reflection` memoises for alpha_i, so its length and table are kept
+    per system; on a miss it is filled from rs.reflection_table."""
     if not 1 <= i <= rs.rank:
         raise WeylError(f"simple index {i} out of range")
-    return WeylElt(rs, rs.reflection_table[i - 1])
+    k = rs.simple_index[i - 1]
+    s = rs.reflection_memo.get(k)
+    if s is None:
+        s = rs.reflection_memo[k] = WeylElt(rs, rs.reflection_table[i - 1])
+    return s
 
 
 def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
-    """Composition a*b, acting as a(b(.))."""
+    """Composition a*b, acting as a(b(.)): b.perm read through a's signed
+    table, which a keeps from its first use as a left operand."""
     if a.rs is not b.rs:
         raise WeylError("elements from different root systems")
-    pa = a.perm
-    out = tuple(
-        pa[x - 1] if x > 0 else -pa[-x - 1]
-        for x in b.perm
-    )
-    return WeylElt(a.rs, out)
+    table = a._table
+    if table is None:
+        p = a.perm
+        table = a._table = (0,) + p + tuple(-x for x in reversed(p))
+    return WeylElt(a.rs, _tuple_getter(b.perm)(table))
 
 
 def multiply_simple(w: WeylElt, i: int) -> WeylElt:
@@ -88,9 +111,8 @@ def multiply_simple(w: WeylElt, i: int) -> WeylElt:
     j, get = w.rs.right_steps[i - 1]
     p = get(w.perm)
     x = p[j]
-    out = WeylElt(w.rs, p[:j] + (-x,) + p[j + 1:])
-    object.__setattr__(out, "_length", w.length + (1 if x > 0 else -1))
-    return out
+    return WeylElt(w.rs, p[:j] + (-x,) + p[j + 1:],
+                   w.length + (1 if x > 0 else -1))
 
 
 def inverse(a: WeylElt) -> WeylElt:
@@ -130,8 +152,8 @@ def reduced_word(w: WeylElt) -> Word:
     """Canonical reduced word: repeatedly strip the smallest left descent.
     A left descent s_i of w is a right descent of u = w^{-1}, read off as
     u(alpha_i) < 0, and s_i w = (u s_i)^{-1}, so the walk steps u to the right.
-    Computed once per element and kept in its instance dict, like length."""
-    word = w.__dict__.get("_word")
+    Computed once per element and kept in its slot, like length."""
+    word = w._word
     if word is None:
         out = []
         u = inverse(w)
@@ -140,8 +162,7 @@ def reduced_word(w: WeylElt) -> Word:
             i = next(i for i, k in enumerate(simple, 1) if u.perm[k] < 0)
             out.append(i)
             u = multiply_simple(u, i)
-        word = tuple(out)
-        object.__setattr__(w, "_word", word)
+        word = w._word = tuple(out)
     return word
 
 
@@ -267,9 +288,9 @@ def parabolic_factorize(w: WeylElt, I: frozenset[int] | set[int]) -> tuple[WeylE
 def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
     """Orthogonal support of an involution: greedily extract the lex-maximal
     negated positive root and peel its reflection off, until the identity.
-    The roots of the last order asked are kept in the instance dict, like
+    The roots of the last order asked are kept in the element's slot, like
     length; each call returns a fresh list."""
-    cached = w.__dict__.get("_support")
+    cached = w._support
     if cached is not None and cached[0] == order:
         return list(cached[1])
     rs = w.rs
@@ -284,15 +305,44 @@ def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
         beta = max(negated, key=lambda r: lex_key(order, r))
         out.append(beta)
         cur = multiply(reflection(rs, beta), cur)
-    object.__setattr__(w, "_support", (order, tuple(out)))
+    w._support = (order, tuple(out))
     return out
 
 
 def enumerate_involutions(rs: RootSystem, max_len: int) -> Iterator[WeylElt]:
-    """All involutions of length <= max_len, by length-capped BFS over the group."""
-    for w in enumerate_elements(rs, max_len):
-        if w.is_involution():
-            yield w
+    """All involutions of length <= max_len, by twisted ascents from the
+    identity; layer by layer in length, each layer sorted by perm (the order
+    in which `enumerate_elements` meets them).
+
+    For an involution w and a right ascent s_i (w(alpha_i) > 0) the twisted
+    action gives w s_i of length l(w) + 1 when s_i w s_i = w, that is when
+    w s_i is itself an involution, and s_i w s_i of length l(w) + 2 when not
+    (the lifting property, Bjorner-Brenti Prop. 2.2.7).  Every involution but
+    the identity has a descent whose twisted action lowers its length
+    (Richardson-Springer, The Bruhat order on symmetric varieties, Geom.
+    Dedicata 35, 1990), so each is reached through involutions no longer
+    than itself: the walk visits only involutions and stops at the cap.
+    """
+    simple = rs.simple_index
+    e = identity(rs)
+    pending = {0: {e.perm: e}}
+    n = 0
+    while pending:
+        found = pending.pop(n, {})
+        layer = [found[k] for k in sorted(found)]
+        yield from layer
+        for w in layer:
+            p = w.perm
+            for i, k in enumerate(simple, 1):
+                if p[k] < 0:
+                    continue
+                u = multiply_simple(w, i)
+                if not u.is_involution():
+                    u = multiply(simple_reflection(rs, i), u)
+                    u._length, u._is_involution = n + 2, True
+                if u._length <= max_len:
+                    pending.setdefault(u._length, {}).setdefault(u.perm, u)
+        n += 1
 
 
 def enumerate_elements(rs: RootSystem, max_len: int) -> Iterator[WeylElt]:

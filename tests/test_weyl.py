@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import random
 
@@ -23,6 +24,53 @@ def left_descent_word(w):
         word.append(i)
         w = multiply(simple_reflection(w.rs, i), w)
     return tuple(word)
+
+
+def compose(a, b):
+    """Reference product a*b, a(b(.)), entry by entry from the two perms."""
+    return tuple(a.perm[x - 1] if x > 0 else -a.perm[-x - 1] for x in b.perm)
+
+
+def filter_involutions(rs, max_len):
+    """Reference involution list: the group's BFS filtered by w*w = e."""
+    return [w for w in enumerate_elements(rs, max_len)
+            if multiply(w, w).is_identity()]
+
+
+class TestElement:
+    def test_slotted(self, e6):
+        w = from_word(e6, (1, 3, 4))
+        assert not hasattr(w, "__dict__")
+        assert type(WeylElt.__dict__["length"]) is property
+        assert repr(w) == f"WeylElt(perm={w.perm!r})"
+        fresh = WeylElt(e6, w.perm)
+        assert fresh == w and hash(fresh) == hash(w)
+        assert fresh != w.perm
+
+    @pytest.mark.parametrize("system, max_len", [("a3", 6), ("e6", 6)])
+    def test_is_involution_is_w_squared(self, request, system, max_len):
+        rs = request.getfixturevalue(system)
+        flags = []
+        for w in enumerate_elements(rs, max_len):
+            fresh = WeylElt(rs, w.perm)
+            flags.append(fresh.is_involution())
+            assert flags[-1] == multiply(w, w).is_identity()
+        assert any(flags) and not all(flags)
+
+    def test_multiply_is_composition(self, a1, a3, e6):
+        s = simple_reflection(a1, 1)
+        assert multiply(s, s).perm == compose(s, s) == (1,)
+        assert type(multiply(s, s).perm) is tuple
+        elements = list(enumerate_elements(a3, 6))
+        for a in elements:
+            for b in elements:
+                assert multiply(a, b).perm == compose(a, b)
+        elements = list(enumerate_elements(e6, 8))
+        rng = random.Random(14)
+        lefts = rng.sample(elements, 100)
+        for a in lefts + lefts:   # the second pass reads each kept table
+            b = rng.choice(elements)
+            assert multiply(a, b).perm == compose(a, b)
 
 
 class TestGroupStructure:
@@ -304,6 +352,15 @@ class TestReflection:
         assert t is s
         assert t.length == 21 and not visits
 
+    def test_simple_reflection_is_the_memoised_element(self):
+        # either call may fill the memo; both return that one element
+        rs = build_e_system("E6")
+        for i in (1, 2, 3):
+            assert simple_reflection(rs, i) is reflection(rs, rs.simple_roots[i - 1])
+        for i in (4, 5, 6):
+            assert reflection(rs, rs.simple_roots[i - 1]) is simple_reflection(rs, i)
+        assert len(rs.reflection_memo) == 6
+
     def test_negative_root_rejected(self, e6):
         with pytest.raises(WeylError):
             reflection(e6, e6.positive_roots[3].negated())
@@ -360,6 +417,44 @@ class TestSupport:
 
 
 class TestEnumeration:
+    def test_is_a_generator_function(self):
+        # the benchmark tracer times the iteration, not the call
+        assert inspect.isgeneratorfunction(weyl.enumerate_involutions)
+
+    @pytest.mark.parametrize("system", ["a1", "a2", "a3"])
+    def test_small_systems_match_filter(self, request, system):
+        rs = request.getfixturevalue(system)
+        for max_len in range(len(rs.positive_roots) + 2):
+            assert list(enumerate_involutions(rs, max_len)) == \
+                filter_involutions(rs, max_len)
+
+    def test_e6_matches_filter_at_every_length(self, e6):
+        brute = filter_involutions(e6, 36)
+        assert len(brute) == 892
+        for max_len in range(37):
+            got = list(enumerate_involutions(e6, max_len))
+            assert got == [w for w in brute if w.length <= max_len]
+        for w in got:
+            assert w.length == WeylElt(e6, w.perm).length
+
+    def test_e7_matches_filter_to_length_12(self, e7):
+        got = list(enumerate_involutions(e7, 12))
+        assert got == filter_involutions(e7, 12)
+        assert len(got) == 588
+        for w in got:
+            assert w.length == WeylElt(e7, w.perm).length
+
+    def test_e7_whole_without_the_group(self, e7, monkeypatch):
+        def refuse(rs, max_len):
+            raise AssertionError("enumerate_elements called for involutions")
+
+        monkeypatch.setattr(weyl, "enumerate_elements", refuse)
+        got = list(enumerate_involutions(e7, 63))
+        assert len(got) == 10208
+        assert len({w.perm for w in got}) == len(got)
+        for w in got:
+            assert multiply(w, w).is_identity()
+
     def test_max_len_zero(self, e6):
         assert list(enumerate_involutions(e6, 0)) == [identity(e6)]
 
