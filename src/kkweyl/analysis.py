@@ -4,8 +4,9 @@ certificates that two involutions have distinct Kostant-Kumar polynomials.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .rootsys import Root, RootSystem, SimpleOrder, first_column, lex_key
 from . import weyl
@@ -103,30 +104,52 @@ def _c1_meet(w: WeylElt, order: SimpleOrder, c1: set[tuple[int, ...]]) -> list[R
     return [r for r in weyl.support(w, order) if r.b in c1]
 
 
+def reflection_below(bruhat: BruhatOrder) -> Callable[[Root, WeylElt], bool]:
+    """below(beta, w): whether s_beta <= w, decided by `bruhat` on the first
+    ask of each (beta, w) and kept per element under beta.b, which hashes
+    faster than a Root (its hash covers the Fraction coordinates).  The
+    good-pair clauses ask only roots of C1: at most candidates x |C1| flags."""
+    rs = bruhat.rs
+    sides: dict[WeylElt, dict[tuple[int, ...], bool]] = defaultdict(dict)
+
+    def below(beta: Root, w: WeylElt) -> bool:
+        known = sides[w]
+        side = known.get(beta.b)
+        if side is None:
+            side = known[beta.b] = bruhat.leq(weyl.reflection(rs, beta), w)
+        return side
+    return below
+
+
 def _pair_clauses(w1: WeylElt, beta1: Root, w2: WeylElt, beta2: Root,
-                  top: Optional[Root], bruhat: BruhatOrder) -> GoodPairCertificate:
+                  top: Optional[Root],
+                  below: Callable[[Root, WeylElt], bool]) -> GoodPairCertificate:
     """The good-pair clauses that follow the C1 meet: beta1 != beta2, neither
     beta is `top` (the top of C1 for E8, None otherwise), and at least one
-    Bruhat side.  Raises NotAGoodPair with the failing clause."""
+    Bruhat side, read through a reflection_below lookup.  Raises NotAGoodPair
+    with the failing clause."""
     if beta1 == beta2:
         raise NotAGoodPair("beta1 = beta2")
     if top is not None and (beta1 == top or beta2 == top):
         raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
-    rs = bruhat.rs
-    side1 = not bruhat.leq(weyl.reflection(rs, beta1), w2)
-    side2 = not bruhat.leq(weyl.reflection(rs, beta2), w1)
+    side1 = not below(beta1, w2)
+    side2 = not below(beta2, w1)
     if not (side1 or side2):
         raise NotAGoodPair("both s_{beta1} <= w2 and s_{beta2} <= w1")
     return GoodPairCertificate(w1, w2, beta1, beta2, side1, side2)
 
 
 def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
-                 bruhat: Optional[BruhatOrder] = None) -> GoodPairCertificate:
-    """Check the four good-pair clauses; raises NotAGoodPair with the failing one."""
+                 bruhat: Optional[BruhatOrder] = None, *,
+                 below: Optional[Callable[[Root, WeylElt], bool]] = None,
+                 ) -> GoodPairCertificate:
+    """Check the four good-pair clauses; raises NotAGoodPair with the failing
+    one.  The Bruhat sides are read through `below`, a reflection_below
+    lookup shared by the caller's checks, or else one made from `bruhat`."""
     if not (w1.is_involution() and w2.is_involution()):
         raise AnalysisError("good pairs are defined for involutions")
-    if bruhat is None:
-        bruhat = BruhatOrder(rs)
+    if below is None:
+        below = reflection_below(bruhat or BruhatOrder(rs))
     c1, top = _c1(rs, order)
     betas = []
     for label, w in (("w1", w1), ("w2", w2)):
@@ -135,7 +158,7 @@ def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
             raise NotAGoodPair(
                 f"support of {label} meets C1 in {len(meet)} roots, need exactly 1")
         betas.append(meet[0])
-    return _pair_clauses(w1, betas[0], w2, betas[1], top, bruhat)
+    return _pair_clauses(w1, betas[0], w2, betas[1], top, below)
 
 
 def implied_evidence(cert: GoodPairCertificate) -> DividesEvidence:
@@ -199,7 +222,7 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
     with (w1, w2) in deterministic enumeration order."""
     if engine is None:
         engine = NilHeckeEngine(rs)
-    bruhat = engine.bruhat
+    below = reflection_below(engine.bruhat)
     if kk_cache is None:
         kk_cache = {}
     # The clauses that depend on one involution only are decided once each:
@@ -216,7 +239,7 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
     for a, (w1, beta1) in enumerate(candidates):
         for w2, beta2 in candidates[a + 1:]:
             try:
-                cert = _pair_clauses(w1, beta1, w2, beta2, top, bruhat)
+                cert = _pair_clauses(w1, beta1, w2, beta2, top, below)
             except NotAGoodPair:
                 continue
             if certify:

@@ -27,7 +27,8 @@ from . import weyl
 from .nilhecke import NilHeckeEngine, BudgetExceeded
 from .analysis import (
     FactorRow, GoodPairCertificate, gen_table, implied_evidence,
-    is_good_pair, certify_distinct, scan_good_pairs, AnalysisError,
+    is_good_pair, certify_distinct, scan_good_pairs, reflection_below,
+    AnalysisError,
 )
 from . import verify as verify_mod
 
@@ -225,15 +226,16 @@ def record_checker(rs: RootSystem, order: SimpleOrder,
 
     A computed record must be the certificate certify_distinct re-derives; a
     symbolic one the bare good pair, or the pair with the evidence its Bruhat
-    sides imply.  Each distinct word is mapped to its element once and each
-    d_w computed once across all records checked.  A malformed record raises
-    ValueError, KeyError or TypeError."""
+    sides imply.  Each distinct word is mapped to its element once, and each
+    Bruhat side and each d_w decided once, across all records checked.  A
+    malformed record raises ValueError, KeyError or TypeError."""
     element = functools.cache(lambda word: weyl.from_word(rs, word))
+    below = reflection_below(engine.bruhat)
     kk_cache = {}
 
     def check(rec) -> bool:
         w1, w2 = element(tuple(rec["w1"])), element(tuple(rec["w2"]))
-        fresh = is_good_pair(w1, w2, rs, order, engine.bruhat)
+        fresh = is_good_pair(w1, w2, rs, order, below=below)
         if rec["computed"] is True:
             allowed = [certify_distinct(fresh, engine, max(w1.length, w2.length),
                                         kk_cache)]

@@ -3,7 +3,7 @@ import pytest
 from kkweyl.rootsys import build_e_system, first_column, named_order
 from kkweyl import weyl
 from kkweyl.weyl import (
-    identity, simple_reflection, multiply, from_word, reflection,
+    BruhatOrder, identity, simple_reflection, multiply, from_word, reflection,
     enumerate_involutions,
 )
 from kkweyl.nilhecke import FactoredPoly, NilHeckeEngine
@@ -156,11 +156,12 @@ class TestScan:
     # E6 at length 8 holds the first involution whose support meets C1 twice
     @pytest.mark.parametrize("type_tag,order_name,max_len,pairs", [
         ("E6", "natural", 4, 55), ("E7", "standard", 4, 108),
-        ("E6", "natural", 8, 1328)])
+        ("E6", "natural", 8, 1328), ("E6", "natural", 10, 3763),
+        ("E7", "standard", 6, 900)])
     def test_matches_is_good_pair_on_every_pair(self, type_tag, order_name,
                                                 max_len, pairs):
         # oracle: the public clause check on every pair of non-identity
-        # involutions, in enumeration order
+        # involutions, in enumeration order, each with a fresh Bruhat order
         rs, order = build_e_system(type_tag), named_order(type_tag, order_name)
         invols = [w for w in enumerate_involutions(rs, max_len)
                   if not w.is_identity()]
@@ -173,6 +174,34 @@ class TestScan:
                     pass
         assert len(expected) == pairs
         assert list(scan_good_pairs(rs, order, max_len, certify=False)) == expected
+
+
+def test_scan_decides_each_bruhat_side_once(e7, monkeypatch):
+    order = named_order("E7", "standard")
+    c1 = {r.b for r in first_column(e7, order)}
+    candidates = []
+    for w in enumerate_involutions(e7, 6):
+        meet = [r for r in weyl.support(w, order) if r.b in c1]
+        if len(meet) == 1:
+            candidates.append((w, meet[0]))
+    # the sides the clauses read: s_beta1 <= w2 and s_beta2 <= w1 for every
+    # candidate pair with beta1 != beta2 (E7 excludes no top root)
+    asked = set()
+    for a, (w1, beta1) in enumerate(candidates):
+        for w2, beta2 in candidates[a + 1:]:
+            if beta1 != beta2:
+                asked |= {(beta1.b, w2.perm), (beta2.b, w1.perm)}
+    calls = []
+    leq = BruhatOrder.leq
+
+    def counted(self, v, w):
+        calls.append((v.perm, w.perm))
+        return leq(self, v, w)
+
+    monkeypatch.setattr(BruhatOrder, "leq", counted)
+    assert len(list(scan_good_pairs(e7, order, 6, certify=False))) == 900
+    assert len(calls) == len(set(calls)) == len(asked) == 114
+    assert len(asked) <= len(candidates) * len(c1)
 
 
 def test_certification_never_expands(e6, e6_natural, monkeypatch):

@@ -117,11 +117,13 @@ class TestGoodPairs:
               "--no-certify", "--output", str(out)])
         lines = out.read_text().splitlines()
         rec = json.loads(lines[0])
-        rec["side1"], rec["side2"] = not rec["side1"], not rec["side2"]
+        flipped = [{**rec, "side1": not rec["side1"]},
+                   {**rec, "side1": not rec["side1"], "side2": not rec["side2"]}]
         tampered = tmp_path / "bad.jsonl"
-        tampered.write_text(json.dumps(rec) + "\n")
-        assert main(["good-pairs", "--type", "E6",
-                     "--recheck", str(tampered)]) == 3
+        for bad in flipped:
+            tampered.write_text(json.dumps(bad) + "\n")
+            assert main(["good-pairs", "--type", "E6",
+                         "--recheck", str(tampered)]) == 3
 
     # a good E6 pair under the natural order, as `good-pairs` writes it
     GOOD_RECORD = {"w1": [1], "w2": [1, 3, 1], "beta1_b": [1, 0, 0, 0, 0, 0],

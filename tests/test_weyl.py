@@ -11,6 +11,7 @@ from kkweyl.weyl import (
     WeylElt, WeylError, identity, simple_reflection, multiply, inverse, act_on_root,
     from_word, reduced_word, reflection, BruhatOrder, bruhat_interval_subword,
     parabolic_factorize, support, enumerate_involutions, enumerate_elements,
+    multiply_simple, act_on_simple,
 )
 
 
@@ -29,6 +30,62 @@ def left_descent_word(w):
 def compose(a, b):
     """Reference product a*b, a(b(.)), entry by entry from the two perms."""
     return tuple(a.perm[x - 1] if x > 0 else -a.perm[-x - 1] for x in b.perm)
+
+
+def recursive_leq(rs):
+    """Reference Bruhat order: the lifting recursion on the first right
+    descent of w, memoised on (v.perm, w.perm)."""
+    memo = {}
+
+    def leq(pv, lv, pw, lw):
+        if lv == 0:
+            return True
+        if lv >= lw:
+            return lv == lw and pv == pw
+        key = (pv, pw)
+        if key not in memo:
+            j, get = next((j, get) for j, get in rs.right_steps if pw[j] < 0)
+            ws = get(pw)
+            ws = ws[:j] + (-ws[j],) + ws[j + 1:]
+            if pv[j] < 0:
+                vs = get(pv)
+                vs = vs[:j] + (-vs[j],) + vs[j + 1:]
+                memo[key] = leq(vs, lv - 1, ws, lw - 1)
+            else:
+                memo[key] = leq(pv, lv, ws, lw - 1)
+        return memo[key]
+
+    return lambda v, w: leq(v.perm, v.length, w.perm, w.length)
+
+
+def random_element(rs, rng, n):
+    """An element of length n, by n random right ascents from the identity."""
+    w = identity(rs)
+    while w.length < n:
+        i = rng.randrange(1, rs.rank + 1)
+        if act_on_simple(w, i) > 0:
+            w = multiply_simple(w, i)
+    return w
+
+
+def subword_product(rs, word, rng):
+    """The product of a random subword of word, by generic products."""
+    v = identity(rs)
+    for i in word:
+        if rng.random() < 0.5:
+            v = multiply(v, simple_reflection(rs, i))
+    return v
+
+
+def random_pairs(rs, rng, count, lo, hi):
+    """count pairs (v, w) with l(w) in [lo, hi]; v is a random subword product
+    of w for half of them, and a random element no longer than w otherwise."""
+    for n in range(count):
+        w = random_element(rs, rng, rng.randint(lo, hi))
+        if n % 2:
+            yield subword_product(rs, reduced_word(w), rng), w
+        else:
+            yield random_element(rs, rng, rng.randint(0, w.length)), w
 
 
 def filter_involutions(rs, max_len):
@@ -159,16 +216,27 @@ class TestLengthAndWords:
         for i in range(1, 7):
             assert simple_reflection(e6, i).length == 1
 
-    def test_is_involution_decided_once(self, e6, monkeypatch):
-        w = from_word(e6, (1, 3, 1))
-        assert w.is_involution()
-        assert not from_word(e6, (1, 3)).is_involution()
+    def test_is_involution_decided_once(self, e6):
+        """The answer is kept in the element's slot: the second call reads
+        no entry of the permutation."""
+        reads = []
 
-        def refuse(a, b):
-            raise AssertionError("multiply called for a decided element")
+        class CountedPerm(tuple):
+            def __iter__(self):
+                reads.append(1)
+                return super().__iter__()
 
-        monkeypatch.setattr(weyl, "multiply", refuse)
-        assert w.is_involution()
+            def __getitem__(self, k):
+                reads.append(1)
+                return super().__getitem__(k)
+
+        for word, expected in (((1, 3, 1), True), ((1, 3), False)):
+            w = from_word(e6, word)
+            object.__setattr__(w, "perm", CountedPerm(w.perm))
+            reads.clear()
+            assert w.is_involution() is expected and reads
+            reads.clear()
+            assert w.is_involution() is expected and not reads
 
     def test_e6_eleven_letter_word(self, e6):
         w = from_word(e6, (2, 4, 3, 5, 6, 4, 5, 2, 4, 3, 1))
@@ -267,15 +335,58 @@ class TestBruhat:
     def test_builds_no_group_element(self, e6, monkeypatch):
         elements = list(enumerate_elements(e6, 4))
         for w in elements:
-            w.length   # counted before the recursion runs
+            w.length, reduced_word(w)   # kept in slots before the queries run
 
-        def refuse(a, b):
-            raise AssertionError("multiply called inside the Bruhat recursion")
+        def refuse(*args):
+            raise AssertionError("group element built inside a Bruhat query")
 
-        monkeypatch.setattr(weyl, "multiply", refuse)
+        for name in ("multiply", "multiply_simple", "inverse"):
+            monkeypatch.setattr(weyl, name, refuse)
+        monkeypatch.setattr(WeylElt, "__init__", refuse)
         order = BruhatOrder(e6)
         below = sum(order.leq(v, w) for v in elements for w in elements)
         assert below > len(elements)
+
+    def test_keeps_no_state(self, e6):
+        order = BruhatOrder(e6)
+        elements = list(enumerate_elements(e6, 5))
+        held = {k: len(v) for k, v in vars(e6).items()
+                if isinstance(v, (dict, list, tuple))}
+        rng = random.Random(4)
+        below = sum(order.leq(rng.choice(elements), rng.choice(elements))
+                    for _ in range(10_000))
+        assert 0 < below < 10_000
+        assert set(vars(order)) == {"rs", "_steps"}
+        assert order.rs is e6 and order._steps is e6.right_steps
+        assert held == {k: len(v) for k, v in vars(e6).items()
+                        if isinstance(v, (dict, list, tuple))}
+
+    @pytest.mark.parametrize("system", ["e7", "e8"])
+    def test_agrees_with_recursive_oracle_on_long_elements(self, request, system):
+        rs = request.getfixturevalue(system)
+        order, oracle = BruhatOrder(rs), recursive_leq(rs)
+        pairs = list(random_pairs(rs, random.Random(20), 2000, 20, 60))
+        flags = [order.leq(v, w) for v, w in pairs]
+        assert flags == [oracle(v, w) for v, w in pairs]
+        assert any(flags) and not all(flags)
+
+    @pytest.mark.parametrize("system", ["e7", "e8"])
+    def test_subword_products_are_below(self, request, system):
+        rs = request.getfixturevalue(system)
+        order, rng = BruhatOrder(rs), random.Random(30)
+        for _ in range(4):
+            w = random_element(rs, rng, rng.randint(30, 60))
+            word = reduced_word(w)
+            for _ in range(50):
+                assert order.leq(subword_product(rs, word, rng), w)
+
+    def test_invariant_under_inversion_e7(self, e7):
+        order = BruhatOrder(e7)
+        flags = []
+        for v, w in random_pairs(e7, random.Random(40), 500, 1, 40):
+            flags.append(order.leq(v, w))
+            assert flags[-1] == order.leq(inverse(v), inverse(w))
+        assert any(flags) and not all(flags)
 
 
 class TestParabolic:
