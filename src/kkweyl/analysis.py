@@ -142,15 +142,18 @@ def _pair_clauses(w1: WeylElt, beta1: Root, w2: WeylElt, beta2: Root,
 def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
                  bruhat: Optional[BruhatOrder] = None, *,
                  below: Optional[Callable[[Root, WeylElt], bool]] = None,
+                 c1: Optional[tuple[set[tuple[int, ...]], Optional[Root]]] = None,
                  ) -> GoodPairCertificate:
     """Check the four good-pair clauses; raises NotAGoodPair with the failing
     one.  The Bruhat sides are read through `below`, a reflection_below
-    lookup shared by the caller's checks, or else one made from `bruhat`."""
+    lookup shared by the caller's checks, or else one made from `bruhat`;
+    C1 is `c1`, what _c1(rs, order) returned to a caller checking many
+    pairs, or else built here."""
     if not (w1.is_involution() and w2.is_involution()):
         raise AnalysisError("good pairs are defined for involutions")
     if below is None:
         below = reflection_below(bruhat or BruhatOrder(rs))
-    c1, top = _c1(rs, order)
+    c1, top = _c1(rs, order) if c1 is None else c1
     betas = []
     for label, w in (("w1", w1), ("w2", w2)):
         meet = _c1_meet(w, order, c1)

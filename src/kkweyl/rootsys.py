@@ -1,21 +1,23 @@
 """Root systems of type E (and small simply-laced test systems) in exact arithmetic.
 
 All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
-coefficient vectors are tuples of ints.  A RootSystem is immutable after
-construction; the only state it gains later is in two memos, each filled
-lazily and keyed by positive-root index: `reflection_memo`, which
-`weyl.reflection` and `weyl.simple_reflection` fill with the group element
-s_beta itself (so its cached length and table are kept), and `root_memo`,
-which `polyring` fills with the root's linear form and a dict from each
-monomial met so far to its value, modulo a prime, at a point on the root's
-hyperplane.
-"""
+coefficient vectors are tuples of ints.  Each root's eps is built with no Fraction
+arithmetic: its multiple by the lcm D of the simple vectors' denominators is summed
+in ints, and each coordinate m is read from one Fraction(m, D) per system.  A
+RootSystem is immutable after construction; the only state it gains later is in
+two memos, each filled lazily and keyed by positive-root index:
+`reflection_memo`, which `weyl.reflection` and `weyl.simple_reflection` fill with
+the group element s_beta itself (so its cached length and table are kept), and
+`root_memo`, which `polyring` fills with the root's linear form and a dict from
+each monomial met so far to its value, modulo a prime, at a point on the root's
+hyperplane."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Optional, Sequence
 
 Rat = Fraction
@@ -119,7 +121,7 @@ class RootSystem:
         pos_b = _close_positive(cartan)
         pos_b.sort(key=lambda b: (sum(b), b))
         self.positive_roots: tuple[Root, ...] = tuple(
-            Root(b, self._eps_of(b), True) for b in pos_b
+            Root(b, eps, True) for b, eps in zip(pos_b, _root_eps(simple_eps, pos_b))
         )
         self.index_of_b: dict[tuple[int, ...], int] = {
             r.b: k for k, r in enumerate(self.positive_roots)
@@ -148,17 +150,6 @@ class RootSystem:
         self.root_memo: dict[int, tuple] = {}
 
     # -- coordinate helpers -------------------------------------------------
-
-    def _eps_of(self, b: Sequence[int]) -> Optional[tuple[Rat, ...]]:
-        if self._simple_eps is None:
-            return None
-        dim = len(self._simple_eps[0])
-        acc = [Fraction(0)] * dim
-        for coef, vec in zip(b, self._simple_eps):
-            if coef:
-                for j, x in enumerate(vec):
-                    acc[j] += coef * x
-        return tuple(acc)
 
     def inner(self, a: Root, b: Root) -> int:
         """Inner product, normalized so every root has squared length 2."""
@@ -238,32 +229,41 @@ def build_e_system(type_tag: str) -> RootSystem:
         raise RootSystemError(f"unknown E type {type_tag!r}")
     n = int(type_tag[1])
     eps = _e8_simple_eps()[:n]
-    cartan = _cartan_from_eps(eps)
+    _, simple = _scaled(eps)
+    cartan = tuple(tuple(_cartan_entry(a, b) for b in simple) for a in simple)
     rs = RootSystem(type_tag, cartan, eps)
     if len(rs.positive_roots) != _E_COUNTS[type_tag]:
         raise RootSystemError("positive-root count mismatch")
-    for r in rs.positive_roots:
-        if _eps_dot(r.eps, r.eps) != 2:
-            raise RootSystemError("root of squared length != 2")
+    d, roots = _scaled([r.eps for r in rs.positive_roots])
+    if any(sum(x * x for x in v) != 2 * d * d for v in roots):
+        raise RootSystemError("root of squared length != 2")
     return rs
 
 
-def _eps_dot(a, b) -> Rat:
-    return sum(x * y for x, y in zip(a, b))
+def _scaled(vectors) -> tuple[int, list[tuple[int, ...]]]:
+    """The lcm D of the coordinates' denominators and each vector times D, in
+    ints read from numerator and denominator (no Fraction arithmetic)."""
+    d = math.lcm(*(x.denominator for v in vectors for x in v))
+    return d, [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors]
 
 
-def _cartan_from_eps(eps) -> tuple[tuple[int, ...], ...]:
-    n = len(eps)
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            v = 2 * _eps_dot(eps[i], eps[j]) / _eps_dot(eps[j], eps[j])
-            if v.denominator != 1:
-                raise RootSystemError("non-integral Cartan entry")
-            row.append(int(v))
-        mat.append(tuple(row))
-    return tuple(mat)
+def _root_eps(simple_eps, pos_b) -> list[Optional[tuple[Rat, ...]]]:
+    """Each root's eps, or None for every root of a system without them."""
+    if simple_eps is None:
+        return [None] * len(pos_b)
+    d, simple = _scaled(simple_eps)
+    cols = list(zip(*simple))
+    ints = [tuple(sum(c * x for c, x in zip(b, col) if c) for col in cols) for b in pos_b]
+    frac = {m: Fraction(m, d) for m in set().union(*ints)}
+    return [tuple(map(frac.__getitem__, v)) for v in ints]
+
+
+def _cartan_entry(a, b) -> int:
+    """2(a, b)/(b, b) for two scaled simple vectors (the scale cancels)."""
+    v, rem = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
+    if rem:
+        raise RootSystemError("non-integral Cartan entry")
+    return v
 
 
 def build_from_cartan(matrix: Sequence[Sequence[int]]) -> RootSystem:

@@ -1,7 +1,7 @@
 import pytest
 
-from kkweyl.rootsys import build_e_system, first_column, named_order
-from kkweyl import weyl
+from kkweyl.rootsys import build_e_system, default_order_name, first_column, named_order
+from kkweyl import analysis, weyl
 from kkweyl.weyl import (
     BruhatOrder, identity, simple_reflection, multiply, from_word, reflection,
     enumerate_involutions,
@@ -9,7 +9,7 @@ from kkweyl.weyl import (
 from kkweyl.nilhecke import FactoredPoly, NilHeckeEngine
 from kkweyl.analysis import (
     AnalysisError, NotAGoodPair, prop35_factor, gen_table,
-    is_good_pair, certify_distinct, scan_good_pairs,
+    is_good_pair, certify_distinct, scan_good_pairs, reflection_below,
 )
 from kkweyl.cli import cert_to_json, record_checker
 
@@ -202,6 +202,27 @@ def test_scan_decides_each_bruhat_side_once(e7, monkeypatch):
     assert len(list(scan_good_pairs(e7, order, 6, certify=False))) == 900
     assert len(calls) == len(set(calls)) == len(asked) == 114
     assert len(asked) <= len(candidates) * len(c1)
+
+
+@pytest.mark.parametrize("type_tag,candidates", [("E6", 416), ("E7", 4212)])
+def test_bruhat_set_is_that_of_the_c1_reflection(type_tag, candidates):
+    # B(w) = {gamma in C1 : s_gamma <= w} equals B(s_beta) for every candidate
+    # w, the involution whose support meets C1 in the one root beta: checked
+    # here over every candidate, not assumed by any code path
+    rs = build_e_system(type_tag)
+    order = named_order(type_tag, default_order_name(type_tag))
+    c1, _ = analysis._c1(rs, order)
+    col = [r for r in rs.positive_roots if r.b in c1]
+    below = reflection_below(BruhatOrder(rs))
+    seen = 0
+    for w in enumerate_involutions(rs, len(rs.positive_roots)):
+        meet = analysis._c1_meet(w, order, c1)
+        if w.is_identity() or len(meet) != 1:
+            continue
+        seen += 1
+        s_beta = reflection(rs, meet[0])
+        assert [below(g, w) for g in col] == [below(g, s_beta) for g in col]
+    assert seen == candidates
 
 
 def test_certification_never_expands(e6, e6_natural, monkeypatch):

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from kkweyl import verify, weyl
+from kkweyl import analysis, cli, verify, weyl
 from kkweyl.cli import main
 
 
@@ -239,6 +239,33 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert words and max(words.values()) == 1
         assert computed and max(computed.values()) == 1
+
+    def test_recheck_builds_c1_once_and_evidence_only_on_mismatch(
+            self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "certs.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "4",
+                     "--no-certify", "--output", str(out)]) == 0
+        c1_calls, replaced = Counter(), Counter()
+        c1, replace = analysis._c1, cli.replace
+
+        def counted_c1(rs, order):
+            c1_calls["n"] += 1
+            return c1(rs, order)
+
+        def counted_replace(cert, **changes):
+            replaced["n"] += 1
+            return replace(cert, **changes)
+
+        monkeypatch.setattr(analysis, "_c1", counted_c1)
+        monkeypatch.setattr(cli, "replace", counted_replace)
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
+        assert "rechecked 55 certificates, 0 failures" in capsys.readouterr().out
+        # the bare records all match the bare pair: no evidence variant built
+        assert c1_calls["n"] == 1 and replaced["n"] == 0
+        out.write_text(json.dumps({**self.GOOD_RECORD,
+                                   "divides_evidence": self.EVIDENCE}) + "\n")
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
+        assert c1_calls["n"] == 2 and replaced["n"] == 1
 
     def test_e7_scan_file_pinned(self, tmp_path, capsys):
         # the Bruhat side flags are what the scan writes

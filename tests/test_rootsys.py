@@ -1,13 +1,108 @@
 import hashlib
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from kkweyl import rootsys
 from kkweyl.rootsys import (
     LT, EQ, GT, RootSystemError, SimpleOrder,
     build_e_system, build_from_cartan, direct_sum,
     lex_compare, lex_key, first_column, reflect, named_order,
 )
+
+H = Fraction(1, 2)
+# The E8 simple roots in epsilon-coordinates (Bourbaki, Plate VII); E6 and E7
+# take the first six and seven.
+E8_SIMPLE = [
+    (H, -H, -H, -H, -H, -H, -H, H),
+    (1, 1, 0, 0, 0, 0, 0, 0),
+    (-1, 1, 0, 0, 0, 0, 0, 0),
+    (0, -1, 1, 0, 0, 0, 0, 0),
+    (0, 0, -1, 1, 0, 0, 0, 0),
+    (0, 0, 0, -1, 1, 0, 0, 0),
+    (0, 0, 0, 0, -1, 1, 0, 0),
+    (0, 0, 0, 0, 0, -1, 1, 0),
+]
+
+# The E8 Cartan matrix in Bourbaki's numbering: the chain 1-3-4-5-6-7-8 with
+# 2 joined to 4.  E6 and E7 are its leading 6x6 and 7x7 blocks.
+E8_CARTAN = (
+    (2, 0, -1, 0, 0, 0, 0, 0),
+    (0, 2, 0, -1, 0, 0, 0, 0),
+    (-1, 0, 2, -1, 0, 0, 0, 0),
+    (0, -1, -1, 2, -1, 0, 0, 0),
+    (0, 0, 0, -1, 2, -1, 0, 0),
+    (0, 0, 0, 0, -1, 2, -1, 0),
+    (0, 0, 0, 0, 0, -1, 2, -1),
+    (0, 0, 0, 0, 0, 0, -1, 2),
+)
+
+
+def oracle_eps(b, simple):
+    """A root's epsilon-coordinates by Fraction accumulation of its simple-root
+    coefficients over the simple vectors: the reference for Root.eps."""
+    acc = [Fraction(0)] * len(simple[0])
+    for coef, vec in zip(b, simple):
+        if coef:
+            for j, x in enumerate(vec):
+                acc[j] += coef * Fraction(x)
+    return tuple(acc)
+
+
+class TestEpsOracle:
+    @pytest.mark.parametrize("type_tag", ["E6", "E7", "E8", "E6+E6"])
+    def test_eps_equals_fraction_accumulation(self, type_tag):
+        if type_tag == "E6+E6":
+            e6 = build_e_system("E6")
+            rs = direct_sum(e6, e6)
+            zero = (0,) * 8
+            simple = ([v + zero for v in E8_SIMPLE[:6]]
+                      + [zero + v for v in E8_SIMPLE[:6]])
+        else:
+            rs = build_e_system(type_tag)
+            simple = E8_SIMPLE[:rs.rank]
+        assert len(rs.positive_roots) == {"E6": 36, "E7": 63, "E8": 120,
+                                          "E6+E6": 72}[type_tag]
+        for r in rs.positive_roots:
+            assert r.eps == oracle_eps(r.b, simple)
+            assert all(type(x) is Fraction for x in r.eps)
+            neg = r.negated()
+            assert neg.eps == tuple(-x for x in oracle_eps(r.b, simple))
+
+    @pytest.mark.parametrize("type_tag", ["E6", "E7", "E8"])
+    def test_cartan_matrix(self, type_tag):
+        n = int(type_tag[1])
+        expected = tuple(row[:n] for row in E8_CARTAN[:n])
+        assert build_e_system(type_tag).cartan == expected
+
+    def test_wrong_length_simple_vectors_rejected(self, monkeypatch):
+        # every simple vector doubled: the Cartan matrix and the root count
+        # stay those of E6, but no root has squared length 2
+        doubled = [tuple(2 * Fraction(x) for x in v) for v in E8_SIMPLE]
+        monkeypatch.setattr(rootsys, "_e8_simple_eps", lambda: doubled)
+        with pytest.raises(RootSystemError, match="squared length"):
+            build_e_system("E6")
+
+    def test_non_integral_cartan_rejected(self, monkeypatch):
+        # alpha_2 replaced by a vector of squared length 3: 2(a1, v)/(v, v) = -1/3
+        forged = [tuple(Fraction(x) for x in v) for v in E8_SIMPLE]
+        forged[1] = tuple(Fraction(x) for x in (1, 1, 1, 0, 0, 0, 0, 0))
+        monkeypatch.setattr(rootsys, "_e8_simple_eps", lambda: forged)
+        with pytest.raises(RootSystemError, match="non-integral Cartan entry"):
+            build_e_system("E6")
+
+    def test_e8_build_does_no_fraction_arithmetic(self, monkeypatch):
+        calls = Counter()
+        for name in ("__add__", "__radd__", "__mul__", "__rmul__"):
+            def counted(self, other, op=getattr(Fraction, name), name=name):
+                calls[name] += 1
+                return op(self, other)
+            monkeypatch.setattr(Fraction, name, counted)
+        build_e_system("E8")
+        assert calls == Counter()
+        # the counters see Fraction arithmetic when there is some
+        assert 1 + H * 2 == 2 and calls == Counter({"__mul__": 1, "__radd__": 1})
 
 
 class TestBuildESystem:
