@@ -1,16 +1,16 @@
 """Root systems of type E (and small simply-laced test systems) in exact arithmetic.
 
 All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
-coefficient vectors are tuples of ints.  Each root's eps is built with no Fraction
-arithmetic: its multiple by the lcm D of the simple vectors' denominators is summed
-in ints, and each coordinate m is read from one Fraction(m, D) per system.  A
-RootSystem is immutable after construction; the only state it gains later is in
-two memos, each filled lazily and keyed by positive-root index:
-`reflection_memo`, which `weyl.reflection` and `weyl.simple_reflection` fill with
-the group element s_beta itself (so its cached length and table are kept), and
-`root_memo`, which `polyring` fills with the root's linear form and a dict from
-each monomial met so far to its value, modulo a prime, at a point on the root's
-hyperplane."""
+coefficient vectors are tuples of ints.  Each eps is built with no Fraction
+arithmetic: it is summed in ints as a multiple of the lcm D of the simple vectors'
+denominators, and each coordinate m is read from one Fraction(m, D) per system.  A
+RootSystem is immutable after construction; the only state it gains later is in two
+memos, each filled lazily and keyed by positive-root index: `reflection_memo`, which
+`weyl.reflection` and `weyl.simple_reflection` fill with the group element s_beta
+itself (so its cached length and table are kept), and `root_memo`, which `polyring`
+fills with the root's linear form and a dict from each monomial met so far to its
+value, modulo a prime, at a point on the root's hyperplane.
+"""
 
 from __future__ import annotations
 
