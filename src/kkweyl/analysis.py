@@ -6,9 +6,9 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .rootsys import Root, RootSystem, SimpleOrder, first_column, lex_key
+from .rootsys import Root, RootSystem, SimpleOrder, first_column
 from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .nilhecke import NilHeckeEngine, KKResult, BudgetExceeded
@@ -19,7 +19,7 @@ class AnalysisError(ValueError):
 
 
 class NotAGoodPair(AnalysisError):
-    """Raised by is_good_pair with the failing clause as the message."""
+    """Raised by GoodPairClauses with the failing clause as the message."""
 
 
 @dataclass(frozen=True)
@@ -90,78 +90,75 @@ class GoodPairCertificate:
     direct_inequality: Optional[bool] = None
 
 
-def _c1(rs: RootSystem, order: SimpleOrder) -> tuple[set[tuple[int, ...]], Optional[Root]]:
-    """The root vectors b of the first column C1, unsorted, and the top of C1
-    for E8 (None otherwise)."""
-    c = order.distinguished - 1
-    col = [r for r in rs.positive_roots if r.b[c] != 0]
-    top = max(col, key=lambda r: lex_key(order, r)) if rs.type_tag == "E8" else None
-    return {r.b for r in col}, top
+class GoodPairClauses:
+    """The clauses that make two involutions w1, w2 a good pair, for one root
+    system and simple order: the support of each meets the first column C1 in
+    exactly one root, beta1 and beta2; beta1 != beta2, and for E8 neither is
+    the top of C1; and s_beta1 is not below w2 or s_beta2 is not below w1 in
+    Bruhat order.
 
+    C1 and its top are built once.  Each Bruhat side s_beta <= w is decided by
+    `bruhat` on its first ask and kept per element under beta.b, which hashes
+    faster than a Root (its hash covers the Fraction coordinates); only roots
+    of C1 are asked, so at most candidates x |C1| flags are kept.  A caller
+    checking many pairs makes one object for all of them."""
 
-def _c1_meet(w: WeylElt, order: SimpleOrder, c1: set[tuple[int, ...]]) -> list[Root]:
-    """The roots of the support of the involution w that lie in C1."""
-    return [r for r in weyl.support(w, order) if r.b in c1]
+    def __init__(self, rs: RootSystem, order: SimpleOrder,
+                 bruhat: Optional[BruhatOrder] = None):
+        self.rs = rs
+        self.order = order
+        self.bruhat = bruhat or BruhatOrder(rs)
+        column = first_column(rs, order)
+        self.c1 = {r.b for r in column}
+        self.top = column[-1] if rs.type_tag == "E8" else None
+        self._sides: dict[WeylElt, dict[tuple[int, ...], bool]] = defaultdict(dict)
 
+    def meet(self, w: WeylElt) -> list[Root]:
+        """The roots of the support of the involution w that lie in C1."""
+        return [r for r in weyl.support(w, self.order) if r.b in self.c1]
 
-def reflection_below(bruhat: BruhatOrder) -> Callable[[Root, WeylElt], bool]:
-    """below(beta, w): whether s_beta <= w, decided by `bruhat` on the first
-    ask of each (beta, w) and kept per element under beta.b, which hashes
-    faster than a Root (its hash covers the Fraction coordinates).  The
-    good-pair clauses ask only roots of C1: at most candidates x |C1| flags."""
-    rs = bruhat.rs
-    sides: dict[WeylElt, dict[tuple[int, ...], bool]] = defaultdict(dict)
-
-    def below(beta: Root, w: WeylElt) -> bool:
-        known = sides[w]
+    def below(self, beta: Root, w: WeylElt) -> bool:
+        """Whether s_beta <= w."""
+        known = self._sides[w]
         side = known.get(beta.b)
         if side is None:
-            side = known[beta.b] = bruhat.leq(weyl.reflection(rs, beta), w)
+            side = known[beta.b] = self.bruhat.leq(weyl.reflection(self.rs, beta), w)
         return side
-    return below
 
+    def clauses(self, w1: WeylElt, beta1: Root, w2: WeylElt,
+                beta2: Root) -> GoodPairCertificate:
+        """The clauses that follow the C1 meet, for w1 and w2 meeting C1 in
+        beta1 and beta2.  Raises NotAGoodPair with the failing clause."""
+        if beta1 == beta2:
+            raise NotAGoodPair("beta1 = beta2")
+        if self.top is not None and (beta1 == self.top or beta2 == self.top):
+            raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
+        side1 = not self.below(beta1, w2)
+        side2 = not self.below(beta2, w1)
+        if not (side1 or side2):
+            raise NotAGoodPair("both s_{beta1} <= w2 and s_{beta2} <= w1")
+        return GoodPairCertificate(w1, w2, beta1, beta2, side1, side2)
 
-def _pair_clauses(w1: WeylElt, beta1: Root, w2: WeylElt, beta2: Root,
-                  top: Optional[Root],
-                  below: Callable[[Root, WeylElt], bool]) -> GoodPairCertificate:
-    """The good-pair clauses that follow the C1 meet: beta1 != beta2, neither
-    beta is `top` (the top of C1 for E8, None otherwise), and at least one
-    Bruhat side, read through a reflection_below lookup.  Raises NotAGoodPair
-    with the failing clause."""
-    if beta1 == beta2:
-        raise NotAGoodPair("beta1 = beta2")
-    if top is not None and (beta1 == top or beta2 == top):
-        raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
-    side1 = not below(beta1, w2)
-    side2 = not below(beta2, w1)
-    if not (side1 or side2):
-        raise NotAGoodPair("both s_{beta1} <= w2 and s_{beta2} <= w1")
-    return GoodPairCertificate(w1, w2, beta1, beta2, side1, side2)
+    def check(self, w1: WeylElt, w2: WeylElt) -> GoodPairCertificate:
+        """All the clauses.  Raises AnalysisError if w1 or w2 is not an
+        involution, and NotAGoodPair with the failing clause."""
+        if not (w1.is_involution() and w2.is_involution()):
+            raise AnalysisError("good pairs are defined for involutions")
+        betas = []
+        for label, w in (("w1", w1), ("w2", w2)):
+            meet = self.meet(w)
+            if len(meet) != 1:
+                raise NotAGoodPair(
+                    f"support of {label} meets C1 in {len(meet)} roots, need exactly 1")
+            betas.append(meet[0])
+        return self.clauses(w1, betas[0], w2, betas[1])
 
 
 def is_good_pair(w1: WeylElt, w2: WeylElt, rs: RootSystem, order: SimpleOrder,
-                 bruhat: Optional[BruhatOrder] = None, *,
-                 below: Optional[Callable[[Root, WeylElt], bool]] = None,
-                 c1: Optional[tuple[set[tuple[int, ...]], Optional[Root]]] = None,
-                 ) -> GoodPairCertificate:
-    """Check the four good-pair clauses; raises NotAGoodPair with the failing
-    one.  The Bruhat sides are read through `below`, a reflection_below
-    lookup shared by the caller's checks, or else one made from `bruhat`;
-    C1 is `c1`, what _c1(rs, order) returned to a caller checking many
-    pairs, or else built here."""
-    if not (w1.is_involution() and w2.is_involution()):
-        raise AnalysisError("good pairs are defined for involutions")
-    if below is None:
-        below = reflection_below(bruhat or BruhatOrder(rs))
-    c1, top = _c1(rs, order) if c1 is None else c1
-    betas = []
-    for label, w in (("w1", w1), ("w2", w2)):
-        meet = _c1_meet(w, order, c1)
-        if len(meet) != 1:
-            raise NotAGoodPair(
-                f"support of {label} meets C1 in {len(meet)} roots, need exactly 1")
-        betas.append(meet[0])
-    return _pair_clauses(w1, betas[0], w2, betas[1], top, below)
+                 bruhat: Optional[BruhatOrder] = None) -> GoodPairCertificate:
+    """Check the good-pair clauses of one pair through a fresh
+    GoodPairClauses; raises as its `check` does."""
+    return GoodPairClauses(rs, order, bruhat).check(w1, w2)
 
 
 def implied_evidence(cert: GoodPairCertificate) -> DividesEvidence:
@@ -225,24 +222,23 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
     with (w1, w2) in deterministic enumeration order."""
     if engine is None:
         engine = NilHeckeEngine(rs)
-    below = reflection_below(engine.bruhat)
     if kk_cache is None:
         kk_cache = {}
+    good = GoodPairClauses(rs, order, engine.bruhat)
     # The clauses that depend on one involution only are decided once each:
     # an involution takes part in a good pair only if its support meets C1 in
     # exactly one root beta.
-    c1, top = _c1(rs, order)
     candidates = []
     for w in weyl.enumerate_involutions(rs, max_len):
         if w.is_identity():
             continue
-        meet = _c1_meet(w, order, c1)
+        meet = good.meet(w)
         if len(meet) == 1:
             candidates.append((w, meet[0]))
     for a, (w1, beta1) in enumerate(candidates):
         for w2, beta2 in candidates[a + 1:]:
             try:
-                cert = _pair_clauses(w1, beta1, w2, beta2, top, below)
+                cert = good.clauses(w1, beta1, w2, beta2)
             except NotAGoodPair:
                 continue
             if certify:

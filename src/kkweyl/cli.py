@@ -25,11 +25,9 @@ from .rootsys import (
 )
 from . import weyl
 from .nilhecke import NilHeckeEngine, BudgetExceeded
-from . import analysis
 from .analysis import (
-    FactorRow, GoodPairCertificate, gen_table, implied_evidence,
-    is_good_pair, certify_distinct, scan_good_pairs, reflection_below,
-    AnalysisError,
+    FactorRow, GoodPairCertificate, GoodPairClauses, gen_table,
+    implied_evidence, certify_distinct, scan_good_pairs, AnalysisError,
 )
 from . import verify as verify_mod
 
@@ -227,18 +225,18 @@ def record_checker(rs: RootSystem, order: SimpleOrder,
 
     A computed record must be the certificate certify_distinct re-derives; a
     symbolic one the bare good pair, or the pair with the evidence its Bruhat
-    sides imply, the latter built only when the former does not match.  C1
-    is built once, and each distinct word mapped to its element once, each
-    Bruhat side and each d_w decided once, across all records checked.  A
+    sides imply, the latter built only when the former does not match.  One
+    GoodPairClauses object decides every record, so C1 is built once and
+    each Bruhat side decided once; each distinct word is mapped to its
+    element once and each d_w computed once, across all records checked.  A
     malformed record raises ValueError, KeyError or TypeError."""
     element = functools.cache(lambda word: weyl.from_word(rs, word))
-    below = reflection_below(engine.bruhat)
-    c1 = analysis._c1(rs, order)
+    good = GoodPairClauses(rs, order, engine.bruhat)
     kk_cache = {}
 
     def check(rec) -> bool:
         w1, w2 = element(tuple(rec["w1"])), element(tuple(rec["w2"]))
-        fresh = is_good_pair(w1, w2, rs, order, below=below, c1=c1)
+        fresh = good.check(w1, w2)
         text = json.dumps(rec, sort_keys=True)
         if rec["computed"] is True:
             return _writes(certify_distinct(fresh, engine, max(w1.length, w2.length),
@@ -339,16 +337,17 @@ def make_parser() -> argparse.ArgumentParser:
                      description="Exact Kostant-Kumar computations for Weyl groups")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, order=True):
+    def common(p, order=True, budget=True):
         p.add_argument("--type", required=True,
                        help="root system type (A1..A7, E6, E7, E8)")
         if order:
             p.add_argument("--order", default=None,
                            help="named simple-root order")
-        p.add_argument("--term-budget", type=count_arg, default=2_000_000)
+        if budget:
+            p.add_argument("--term-budget", type=count_arg, default=2_000_000)
 
     p = sub.add_parser("gen-tables", help="first-column factorization tables")
-    common(p)
+    common(p, budget=False)
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--output-dir", default=".")
     p.set_defaults(func=cmd_gen_tables)

@@ -141,19 +141,6 @@ class MPoly:
             return MPoly(self.n, {ka: ca * cb for ka, ca in a.items()})
         out: dict[tuple[int, ...], Coeff] = {}
         for kb, cb in b.items():
-            if not any(kb):
-                for ka, ca in a.items():
-                    v = out.get(ka)
-                    p = ca * cb
-                    if v is None:
-                        out[ka] = p
-                    else:
-                        v = v + p
-                        if v:
-                            out[ka] = v
-                        else:
-                            del out[ka]
-                continue
             for ka, ca in a.items():
                 k = tuple(map(operator.add, ka, kb))
                 p = ca * cb

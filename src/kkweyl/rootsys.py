@@ -118,8 +118,8 @@ class RootSystem:
         self.cartan = cartan
         self.rank = len(cartan)
         self._simple_eps = simple_eps
-        pos_b = _close_positive(cartan)
-        pos_b.sort(key=lambda b: (sum(b), b))
+        images = _close_positive(cartan)
+        pos_b = sorted(images, key=lambda b: (sum(b), b))
         self.positive_roots: tuple[Root, ...] = tuple(
             Root(b, eps, True) for b, eps in zip(pos_b, _root_eps(simple_eps, pos_b))
         )
@@ -135,8 +135,7 @@ class RootSystem:
         )
         # reflection_table[i][k] = signed 1-based index of s_{alpha_{i+1}}(pos_k)
         self.reflection_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._signed_index(_reflect_simple(cartan, i, r.b))
-                  for r in self.positive_roots)
+            tuple(self._signed_index(images[r.b][i]) for r in self.positive_roots)
             for i in range(self.rank)
         )
         # right_steps[i] = (slot of alpha_{i+1}, getter reading a signed
@@ -200,24 +199,20 @@ def _reflect_simple(cartan, i: int, b: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _close_positive(cartan) -> list[tuple[int, ...]]:
-    """Positive roots: closure of the simple roots under simple reflections."""
+def _close_positive(cartan) -> dict[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Positive roots, the closure of the simple roots under simple reflections,
+    each mapped to its images under s_1, ..., s_n."""
     n = len(cartan)
-    simple = [_unit(n, i) for i in range(n)]
-    pos = set(simple)
-    frontier = set(simple)
+    images = {}
+    frontier = {_unit(n, i) for i in range(n)}
     while frontier:
-        new = set()
         for b in frontier:
-            for i in range(n):
-                r = _reflect_simple(cartan, i, b)
-                if r not in pos and all(x >= 0 for x in r):
-                    new.add(r)
-        pos |= new
-        frontier = new
-        if len(pos) > 20000:
+            images[b] = tuple(_reflect_simple(cartan, i, b) for i in range(n))
+        frontier = {r for b in frontier for r in images[b]
+                    if r not in images and all(x >= 0 for x in r)}
+        if len(images) > 20000:
             raise RootSystemError("root closure does not terminate; not a finite Cartan matrix")
-    return list(pos)
+    return images
 
 
 _E_COUNTS = {"E6": 36, "E7": 63, "E8": 120}

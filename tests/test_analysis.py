@@ -1,15 +1,15 @@
 import pytest
 
 from kkweyl.rootsys import build_e_system, default_order_name, first_column, named_order
-from kkweyl import analysis, weyl
+from kkweyl import weyl
 from kkweyl.weyl import (
     BruhatOrder, identity, simple_reflection, multiply, from_word, reflection,
-    enumerate_involutions,
+    enumerate_involutions, bruhat_interval_subword,
 )
 from kkweyl.nilhecke import FactoredPoly, NilHeckeEngine
 from kkweyl.analysis import (
-    AnalysisError, NotAGoodPair, prop35_factor, gen_table,
-    is_good_pair, certify_distinct, scan_good_pairs, reflection_below,
+    AnalysisError, NotAGoodPair, GoodPairCertificate, GoodPairClauses,
+    prop35_factor, gen_table, is_good_pair, certify_distinct, scan_good_pairs,
 )
 from kkweyl.cli import cert_to_json, record_checker
 
@@ -111,6 +111,18 @@ class TestIsGoodPair:
         with pytest.raises(AnalysisError):
             is_good_pair(w, w, e6, e6_natural)
 
+    def test_e8_top_of_c1_excluded(self, e8):
+        order = named_order("E8", "standard")
+        theta = max(e8.positive_roots, key=lambda r: r.height)
+        assert GoodPairClauses(e8, order).top == theta == first_column(e8, order)[-1]
+        s_theta, s8 = reflection(e8, theta), simple_reflection(e8, 8)
+        assert s_theta.length == 57 and weyl.support(s_theta, order) == [theta]
+        # every other clause holds: alpha_8 is in C1 and s_8 is below s_theta
+        for w1, w2 in ((s_theta, s8), (s8, s_theta)):
+            with pytest.raises(NotAGoodPair,
+                               match=r"^a beta is maximal in C1 \(excluded for E8\)$"):
+                is_good_pair(w1, w2, e8, order)
+
 
 class TestCertify:
     def test_computed_certificate(self, e6, e6_natural, e6_engine, kk_cache):
@@ -176,6 +188,30 @@ class TestScan:
         assert list(scan_good_pairs(rs, order, max_len, certify=False)) == expected
 
 
+@pytest.mark.parametrize("type_tag,max_len,pairs", [("E6", 6, 327), ("E7", 5, 350)])
+def test_scan_matches_an_independent_clause_check(type_tag, max_len, pairs):
+    # oracle independent of GoodPairClauses: C1 from first_column, each meet
+    # from weyl.support, each Bruhat side as membership in the subword
+    # interval below w
+    rs = build_e_system(type_tag)
+    order = named_order(type_tag, default_order_name(type_tag))
+    c1 = {r.b for r in first_column(rs, order)}
+    candidates = []
+    for w in enumerate_involutions(rs, max_len):
+        meet = [r for r in weyl.support(w, order) if r.b in c1]
+        if len(meet) == 1:
+            candidates.append((w, meet[0], bruhat_interval_subword(w)))
+    expected = []
+    for a, (w1, beta1, lower1) in enumerate(candidates):
+        for w2, beta2, lower2 in candidates[a + 1:]:
+            side1 = reflection(rs, beta1) not in lower2
+            side2 = reflection(rs, beta2) not in lower1
+            if beta1 != beta2 and (side1 or side2):
+                expected.append(GoodPairCertificate(w1, w2, beta1, beta2, side1, side2))
+    assert len(expected) == pairs
+    assert list(scan_good_pairs(rs, order, max_len, certify=False)) == expected
+
+
 def test_scan_decides_each_bruhat_side_once(e7, monkeypatch):
     order = named_order("E7", "standard")
     c1 = {r.b for r in first_column(e7, order)}
@@ -211,17 +247,16 @@ def test_bruhat_set_is_that_of_the_c1_reflection(type_tag, candidates):
     # here over every candidate, not assumed by any code path
     rs = build_e_system(type_tag)
     order = named_order(type_tag, default_order_name(type_tag))
-    c1, _ = analysis._c1(rs, order)
-    col = [r for r in rs.positive_roots if r.b in c1]
-    below = reflection_below(BruhatOrder(rs))
+    col = first_column(rs, order)
+    good = GoodPairClauses(rs, order)
     seen = 0
     for w in enumerate_involutions(rs, len(rs.positive_roots)):
-        meet = analysis._c1_meet(w, order, c1)
+        meet = good.meet(w)
         if w.is_identity() or len(meet) != 1:
             continue
         seen += 1
         s_beta = reflection(rs, meet[0])
-        assert [below(g, w) for g in col] == [below(g, s_beta) for g in col]
+        assert [good.below(g, w) for g in col] == [good.below(g, s_beta) for g in col]
     assert seen == candidates
 
 

@@ -245,27 +245,28 @@ class TestGoodPairs:
         out = tmp_path / "certs.jsonl"
         assert main(["good-pairs", "--type", "E6", "--max-len", "4",
                      "--no-certify", "--output", str(out)]) == 0
-        c1_calls, replaced = Counter(), Counter()
-        c1, replace = analysis._c1, cli.replace
+        made, replaced = Counter(), Counter()
+        init, replace = analysis.GoodPairClauses.__init__, cli.replace
 
-        def counted_c1(rs, order):
-            c1_calls["n"] += 1
-            return c1(rs, order)
+        def counted_init(self, *args):
+            # the object builds C1 once, when it is made
+            made["n"] += 1
+            init(self, *args)
 
         def counted_replace(cert, **changes):
             replaced["n"] += 1
             return replace(cert, **changes)
 
-        monkeypatch.setattr(analysis, "_c1", counted_c1)
+        monkeypatch.setattr(analysis.GoodPairClauses, "__init__", counted_init)
         monkeypatch.setattr(cli, "replace", counted_replace)
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert "rechecked 55 certificates, 0 failures" in capsys.readouterr().out
         # the bare records all match the bare pair: no evidence variant built
-        assert c1_calls["n"] == 1 and replaced["n"] == 0
+        assert made["n"] == 1 and replaced["n"] == 0
         out.write_text(json.dumps({**self.GOOD_RECORD,
                                    "divides_evidence": self.EVIDENCE}) + "\n")
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
-        assert c1_calls["n"] == 2 and replaced["n"] == 1
+        assert made["n"] == 2 and replaced["n"] == 1
 
     def test_e7_scan_file_pinned(self, tmp_path, capsys):
         # the Bruhat side flags are what the scan writes
@@ -318,6 +319,13 @@ class TestUsage:
     def test_workers_option_removed(self, capsys):
         assert main(["verify", "--type", "A2", "--workers", "2"]) == 64
         assert "usage error" in capsys.readouterr().err
+
+    def test_gen_tables_takes_no_term_budget(self, tmp_path, capsys):
+        # gen-tables folds no x_w, so it has no budget to set
+        assert main(["gen-tables", "--type", "E6", "--term-budget", "5",
+                     "--output-dir", str(tmp_path)]) == 64
+        assert "usage error" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
         ["good-pairs", "--type", "E6", "--max-len", "-1"],

@@ -59,8 +59,9 @@ class TestPolyArithmetic:
             assert p * (q + r) == p * q + p * r
 
     def test_single_term_factor(self):
-        # one-term factors take a short path; compare with the product summed
-        # term by term
+        # one-term factors take a short path; compare it, and the general
+        # path on factors with a constant term, with the product summed term
+        # by term
         def termwise(p, q):
             out = MPoly.zero(p.n)
             for ka, ca in p.terms.items():
@@ -76,7 +77,9 @@ class TestPolyArithmetic:
         factors = [MPoly.const(3, -1), MPoly.const(3, 1), MPoly.const(3, 7),
                    MPoly.const(3, Fraction(3, 2)),
                    MPoly(3, {(0, 1, 0): -1}), MPoly(3, {(2, 0, 1): 4}),
-                   MPoly(3, {(1, 1, 0): Fraction(-2, 3)})]
+                   MPoly(3, {(1, 1, 0): Fraction(-2, 3)}),
+                   MPoly(3, {(1, 0, 0): 1, (0, 0, 0): 2}),
+                   MPoly(3, {(0, 0, 0): 3, (0, 1, 1): -1})]
         for p in polys:
             for q in factors:
                 assert p * q == termwise(p, q)

@@ -166,6 +166,19 @@ class TestRootTables:
                      rs.reflection_table))
         assert hashlib.sha256(data.encode()).hexdigest() == self.PINS[name]
 
+    def test_each_simple_reflection_computed_once(self, monkeypatch):
+        # the closure keeps each root's images, and reflection_table reads them
+        calls = Counter()
+        reflect_simple = rootsys._reflect_simple
+
+        def counted(cartan, i, b):
+            calls[i, b] += 1
+            return reflect_simple(cartan, i, b)
+
+        monkeypatch.setattr(rootsys, "_reflect_simple", counted)
+        build_e_system("E8")
+        assert sum(calls.values()) == len(calls) == 120 * 8
+
 
 class TestBuildFromCartan:
     def test_a2_roots(self, a2):
