@@ -187,15 +187,14 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
     ev = implied_evidence(cert)
     if cert.w1.length > max_compute_len or cert.w2.length > max_compute_len:
         return replace(cert, computed=False, divides_evidence=ev)
+    if kk_cache is None:
+        kk_cache = {}
     try:
         d = {}
         for label, w in (("w1", cert.w1), ("w2", cert.w2)):
-            if kk_cache is not None and w in kk_cache:
-                result = kk_cache[w]
-            else:
-                result = engine.kk_poly(w, expand=False)
-                if kk_cache is not None:
-                    kk_cache[w] = result
+            result = kk_cache.get(w)
+            if result is None:
+                result = kk_cache[w] = engine.kk_poly(w, expand=False)
             d[label] = result.d_factored
     except BudgetExceeded:
         return replace(cert, computed=False, divides_evidence=ev)

@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -148,12 +149,8 @@ def cmd_gen_tables(args) -> int:
             exit_code = EX_PREMISE
         text = render_table(rows, args.format)
         path = os.path.join(args.output_dir, f"table_{type_tag}_{name}.{ext}")
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_IO
+        with open(path, "w") as fh:
+            fh.write(text)
         print(f"wrote {path} ({len(rows)} rows)")
     return exit_code
 
@@ -261,12 +258,8 @@ def cmd_good_pairs(args) -> int:
     order = resolve_order(rs, args.type, args.order)
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
     if args.recheck:
-        try:
-            with open(args.recheck, "rb") as fh:
-                lines = [ln for ln in fh if ln.strip()]
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_IO
+        with open(args.recheck, "rb") as fh:
+            lines = [ln for ln in fh if ln.strip()]
         bad = 0
         check = record_checker(rs, order, engine)
         for n, line in enumerate(lines, 1):
@@ -283,28 +276,17 @@ def cmd_good_pairs(args) -> int:
                 print(f"FAIL line {n}: {_clip(text)}", file=sys.stderr)
         print(f"rechecked {len(lines)} certificates, {bad} failures")
         return EX_OK if bad == 0 else EX_PROPERTY
-    out = sys.stdout
-    fh = None
-    if args.output:
-        try:
-            fh = open(args.output, "w")
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_IO
-        out = fh
     count = 0
-    try:
-        for cert in scan_good_pairs(rs, order, args.max_len, engine,
-                                    max_compute_len=args.max_compute_len,
-                                    certify=not args.no_certify):
-            out.write(json.dumps(cert_to_json(cert)) + "\n")
-            count += 1
-    except AnalysisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_PROPERTY
-    finally:
-        if fh is not None:
-            fh.close()
+    with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
+        try:
+            for cert in scan_good_pairs(rs, order, args.max_len, engine,
+                                        max_compute_len=args.max_compute_len,
+                                        certify=not args.no_certify):
+                out.write(json.dumps(cert_to_json(cert)) + "\n")
+                count += 1
+        except AnalysisError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EX_PROPERTY
     print(f"{count} good pairs", file=sys.stderr)
     return EX_OK
 
@@ -315,10 +297,7 @@ def cmd_verify(args) -> int:
     rs = build_system(args.type)
     order = resolve_order(rs, args.type, args.order)
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
-    max_len = args.max_len
-    if max_len is None:
-        max_len = len(rs.positive_roots) if rs.rank <= 3 else 5
-    results = verify_mod.run_suite(rs, order, max_len, engine,
+    results = verify_mod.run_suite(rs, order, args.max_len, engine,
                                    sample=args.sample)
     failed = False
     for res in results:

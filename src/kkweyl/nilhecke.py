@@ -19,7 +19,7 @@ from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
     MPoly, RatFn, ratfn_zero, ratfn_const, ratfn_add, ratfn_neg, ratfn_mul,
     ratfn_mul_root_inverse, ratfn_scale, root_linear_form, weyl_act_ratfn,
-    divides_linear,
+    _cancel,
 )
 
 
@@ -203,11 +203,9 @@ class FactoredPoly:
 
     def divisible_by(self, k: int) -> bool:
         """Whether positive root k divides the product: it is one of the root
-        factors or it divides the unit."""
-        if k in self.root_factors:
-            return True
-        return divides_linear(root_linear_form(self.rs, self.rs.positive_roots[k]),
-                              self.unit)
+        factors or it divides the unit, which _cancel decides with its mod-P
+        pre-test before any trial division."""
+        return k in self.root_factors or not _cancel(self.rs, self.unit, (k,), (k,)).den
 
     def equals(self, other: "FactoredPoly") -> bool:
         """Exact equality: shared root factors cancel, and only the two units

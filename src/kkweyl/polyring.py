@@ -295,15 +295,7 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
         for k, c in layer.items():
             t = _div(c, c0)
             kq = k[:j] + (d - 1,) + k[j + 1:]
-            v = q.get(kq)
-            if v is None:
-                q[kq] = t
-            else:
-                v = v + t
-                if v:
-                    q[kq] = v
-                else:
-                    del q[kq]
+            q[kq] = t
             for (i, ci) in rest:
                 k2 = list(kq)
                 k2[i] += 1
@@ -318,12 +310,7 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
                         below[k2] = v
                     else:
                         del below[k2]
-    r = buckets.get(0, {})
-    return MPoly(p.n, {k: c for k, c in q.items() if c}), MPoly(p.n, {k: c for k, c in r.items() if c})
-
-
-def divides_linear(L: MPoly, p: MPoly) -> bool:
-    return divide_by_linear(p, L)[1].is_zero()
+    return MPoly(p.n, q), MPoly(p.n, buckets.get(0, {}))
 
 
 # -- Weyl action ------------------------------------------------------------------

@@ -169,14 +169,7 @@ class RootSystem:
         raise RootSystemError(f"vector {b} is not a root")
 
     def root_from_b(self, b: Sequence[int]) -> Root:
-        b = tuple(b)
-        k = self.index_of_b.get(b)
-        if k is not None:
-            return self.positive_roots[k]
-        k = self.index_of_b.get(tuple(-x for x in b))
-        if k is not None:
-            return self.positive_roots[k].negated()
-        raise RootSystemError(f"vector {b} is not a root")
+        return self.root_at(self._signed_index(tuple(b)))
 
     def root_at(self, signed_index: int) -> Root:
         """Root for a signed 1-based positive-root index."""

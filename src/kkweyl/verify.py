@@ -211,15 +211,18 @@ def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
     return res
 
 
-def run_suite(rs: RootSystem, order: SimpleOrder, max_len: int,
+def run_suite(rs: RootSystem, order: SimpleOrder, max_len: Optional[int],
               engine: Optional[NilHeckeEngine] = None,
               sample: Optional[int] = 200) -> list[VerifyResult]:
-    """The full property suite at the given length cap.  On a system of rank
-    at most 3 every case runs; above that the pair checks draw `sample` cases
-    and the Dyer check keeps only v = id beyond length 5."""
+    """The full property suite at the given length cap; with none, every
+    length on a system of rank at most 3 and length 5 above that.  On a
+    system of rank at most 3 every case runs; above that the pair checks
+    draw `sample` cases and the Dyer check keeps only v = id beyond length 5."""
     if engine is None:
         engine = NilHeckeEngine(rs)
     small = rs.rank <= 3
+    if max_len is None:
+        max_len = len(rs.positive_roots) if small else 5
     pair_sample = None if small else sample
     results = [
         check_product_law(engine, max_len, sample=pair_sample),

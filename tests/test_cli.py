@@ -282,6 +282,14 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6",
                      "--recheck", "/nonexistent/x.jsonl"]) == 1
 
+    def test_unwritable_output_exit_1(self, capsys):
+        assert main(["good-pairs", "--type", "E6",
+                     "--output", "/nonexistent/x.jsonl"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: [Errno 2] No such file or directory: '/nonexistent/x.jsonl'"]
+
 
 class TestVerify:
     def test_a2_passes(self, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from kkweyl.polyring import (
     MPoly, RatFn, PolyError, root_linear_form, divide_by_linear,
-    divides_linear, weyl_act_poly, weyl_act_ratfn,
+    weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
     ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale,
     _cancel, _root_data, P,
@@ -105,17 +105,34 @@ class TestDivideByLinear:
         q, r = divide_by_linear(MPoly.var(2, 1), L)
         assert not r.is_zero()
 
-    def test_roundtrip_random(self, e6):
+    @pytest.mark.parametrize("system", ["e6", "e8"])
+    def test_roundtrip_random(self, request, system):
+        # 14 E8 roots have leading coefficient 2, so an inexact division
+        # leaves Fractions in its quotient; E6 has no such root
+        rs = request.getfixturevalue(system)
         rng = random.Random(5)
-        roots = e6.positive_roots
+        roots = rs.positive_roots
+        inexact = fractions = 0
         for _ in range(100):
-            L = root_linear_form(e6, rng.choice(roots))
-            q = random_poly(rng, 6)
+            beta = rng.choice(roots)
+            L = root_linear_form(rs, beta)
+            q = random_poly(rng, rs.rank)
             p = q * L
             q2, r = divide_by_linear(p, L)
             assert r.is_zero()
             assert q2 == q
-            assert divides_linear(L, p)
+            assert divide_by_linear(p, L)[1].is_zero()
+            # not a multiple: p = q*L + r, with no monomial of r in the
+            # leading variable of L
+            p = p + random_poly(rng, rs.rank)
+            q, r = divide_by_linear(p, L)
+            assert q * L + r == p
+            j = next(i for i, c in enumerate(beta.b) if c)
+            assert all(k[j] == 0 for k in r.terms)
+            inexact += not r.is_zero()
+            fractions += any(isinstance(c, Fraction) for c in q.terms.values())
+        assert inexact >= 90
+        assert (fractions > 0) == (system == "e8")
 
     def test_nonlinear_divisor_rejected(self):
         x1 = MPoly.var(2, 1)
@@ -199,8 +216,8 @@ class TestRatFn:
             # no denominator root divides the numerator after normalization
             g = forms[0]
             for k in set(g.den):
-                assert not divides_linear(
-                    root_linear_form(a3, a3.positive_roots[k]), g.num)
+                assert not divide_by_linear(
+                    g.num, root_linear_form(a3, a3.positive_roots[k]))[1].is_zero()
 
     def test_mul_and_root_inverse(self, a2):
         idx1 = a2.index_of_b[(1, 0)]
@@ -234,8 +251,9 @@ def roots_product(rs, indices):
 
 def in_lowest_terms(f):
     """No denominator root divides the numerator, by trial division alone."""
-    return not any(divides_linear(root_linear_form(f.rs, f.rs.positive_roots[k]), f.num)
-                   for k in set(f.den))
+    return not any(
+        divide_by_linear(f.num, root_linear_form(f.rs, f.rs.positive_roots[k]))[1].is_zero()
+        for k in set(f.den))
 
 
 def random_lowest(rng, rs):
@@ -354,7 +372,7 @@ class TestCancelPreTest:
         for k, beta in enumerate(e6.positive_roots):
             form = root_linear_form(e6, beta)
             q = random_poly(rng, 6, nterms=5, maxdeg=4)
-            if q.is_zero() or divides_linear(form, q):
+            if q.is_zero() or divide_by_linear(q, form)[1].is_zero():
                 continue
             assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
             assert _cancel(e6, form * q, (k, k), (k,)) == RatFn(e6, q, (k,))
@@ -379,7 +397,7 @@ class TestCancelPreTest:
         assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
         assert calls
 
-    @pytest.mark.parametrize("system", ["a3", "e6"])
+    @pytest.mark.parametrize("system", ["a3", "e6", "e8"])
     def test_agrees_with_trial_division(self, request, system):
         rs = request.getfixturevalue(system)
         rng = random.Random(41)

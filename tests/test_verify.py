@@ -5,6 +5,7 @@ import pytest
 
 from kkweyl import verify, weyl
 from kkweyl.nilhecke import NilHeckeEngine
+from kkweyl.rootsys import SimpleOrder
 
 
 def reference_pairs(elements, max_len):
@@ -86,3 +87,11 @@ def test_sampled_checks_build_no_case_list(e7):
         tracemalloc.stop()
     assert [(r.passed, r.failed) for r in results] == [(20, 0), (20, 0)]
     assert peak < 64 * 2**20
+
+
+def test_default_depth_is_every_length_at_rank_3(a3):
+    # A3's longest element has length 6
+    order = SimpleOrder((1, 2, 3), 1)
+    counts = [[(r.name, r.passed, r.failed) for r in verify.run_suite(a3, order, cap)]
+              for cap in (None, 6)]
+    assert counts[0] == counts[1]
