@@ -13,6 +13,8 @@ from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .nilhecke import NilHeckeEngine, KKResult, BudgetExceeded
 
+DEFAULT_MAX_COMPUTE_LEN = 8
+
 
 class AnalysisError(ValueError):
     pass
@@ -170,7 +172,7 @@ def implied_evidence(cert: GoodPairCertificate) -> DividesEvidence:
 
 
 def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
-                     max_compute_len: int = 8,
+                     max_compute_len: int = DEFAULT_MAX_COMPUTE_LEN,
                      kk_cache: Optional[dict[WeylElt, KKResult]] = None,
                      ) -> GoodPairCertificate:
     """Enrich a good-pair certificate with divisibility evidence.
@@ -196,6 +198,7 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
             if result is None:
                 result = kk_cache[w] = engine.kk_poly(w, expand=False)
             d[label] = result.d_factored
+        equal = d["w1"].equals(d["w2"], engine.term_budget)
     except BudgetExceeded:
         return replace(cert, computed=False, divides_evidence=ev)
     k = rs.index_of_b[ev.root.b]
@@ -205,7 +208,7 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
     if d[ev.not_divides].divisible_by(k):
         raise AnalysisError(
             f"certificate inconsistent: {ev.root.b} should not divide d_{ev.not_divides}")
-    if d["w1"].equals(d["w2"]):
+    if equal:
         raise AnalysisError("good pair with equal polynomials; contradiction")
     return replace(cert, computed=True, divides_evidence=ev,
                    direct_inequality=True)
@@ -213,7 +216,7 @@ def certify_distinct(cert: GoodPairCertificate, engine: NilHeckeEngine,
 
 def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
                     engine: Optional[NilHeckeEngine] = None,
-                    max_compute_len: int = 8,
+                    max_compute_len: int = DEFAULT_MAX_COMPUTE_LEN,
                     certify: bool = True,
                     kk_cache: Optional[dict[WeylElt, KKResult]] = None,
                     ) -> Iterator[GoodPairCertificate]:

@@ -25,10 +25,10 @@ from .rootsys import (
     build_e_system, build_from_cartan, named_order, default_order_name,
 )
 from . import weyl
-from .nilhecke import NilHeckeEngine, BudgetExceeded
+from .nilhecke import NilHeckeEngine, BudgetExceeded, DEFAULT_TERM_BUDGET
 from .analysis import (
-    FactorRow, GoodPairCertificate, GoodPairClauses, gen_table,
-    implied_evidence, certify_distinct, scan_good_pairs, AnalysisError,
+    FactorRow, GoodPairCertificate, GoodPairClauses, gen_table, implied_evidence,
+    certify_distinct, scan_good_pairs, AnalysisError, DEFAULT_MAX_COMPUTE_LEN,
 )
 from . import verify as verify_mod
 
@@ -258,23 +258,22 @@ def cmd_good_pairs(args) -> int:
     order = resolve_order(rs, args.type, args.order)
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
     if args.recheck:
-        with open(args.recheck, "rb") as fh:
-            lines = [ln for ln in fh if ln.strip()]
-        bad = 0
+        bad = n = 0
         check = record_checker(rs, order, engine)
-        for n, line in enumerate(lines, 1):
-            try:
-                ok = check(json.loads(line.decode()))
-            except (ValueError, KeyError, TypeError, RecursionError):
-                # lines that are not UTF-8, unreadable or too deeply nested
-                # JSON, missing keys, bad letters, and AnalysisError /
-                # NilHeckeError from the recheck itself
-                ok = False
-            if not ok:
-                bad += 1
-                text = line.decode(errors="replace").strip()
-                print(f"FAIL line {n}: {_clip(text)}", file=sys.stderr)
-        print(f"rechecked {len(lines)} certificates, {bad} failures")
+        with open(args.recheck, "rb") as fh:
+            for n, line in enumerate(filter(bytes.strip, fh), 1):
+                try:
+                    ok = check(json.loads(line.decode()))
+                except (ValueError, KeyError, TypeError, RecursionError):
+                    # lines that are not UTF-8, unreadable or too deeply nested
+                    # JSON, missing keys, bad letters, and AnalysisError /
+                    # NilHeckeError / BudgetExceeded from the recheck itself
+                    ok = False
+                if not ok:
+                    bad += 1
+                    text = line.decode(errors="replace").strip()
+                    print(f"FAIL line {n}: {_clip(text)}", file=sys.stderr)
+        print(f"rechecked {n} certificates, {bad} failures")
         return EX_OK if bad == 0 else EX_PROPERTY
     count = 0
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:
@@ -299,14 +298,12 @@ def cmd_verify(args) -> int:
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
     results = verify_mod.run_suite(rs, order, args.max_len, engine,
                                    sample=args.sample)
-    failed = False
     for res in results:
         status = "PASS" if res.ok else "FAIL"
         print(f"{status} {res.name}: {res.passed} passed, {res.failed} failed")
         if not res.ok:
-            failed = True
             print(f"  counterexample: {json.dumps(res.counterexample)}")
-    return EX_PROPERTY if failed else EX_OK
+    return EX_OK if all(res.ok for res in results) else EX_PROPERTY
 
 
 # -- entry point ---------------------------------------------------------------
@@ -323,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
             p.add_argument("--order", default=None,
                            help="named simple-root order")
         if budget:
-            p.add_argument("--term-budget", type=count_arg, default=2_000_000)
+            p.add_argument("--term-budget", type=count_arg, default=DEFAULT_TERM_BUDGET)
 
     p = sub.add_parser("gen-tables", help="first-column factorization tables")
     common(p, budget=False)
@@ -340,7 +337,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("good-pairs", help="scan and certify good pairs")
     common(p)
     p.add_argument("--max-len", type=count_arg, default=3)
-    p.add_argument("--max-compute-len", type=count_arg, default=8)
+    p.add_argument("--max-compute-len", type=count_arg, default=DEFAULT_MAX_COMPUTE_LEN)
     p.add_argument("--no-certify", action="store_true")
     p.add_argument("--output", default=None)
     p.add_argument("--recheck", default=None, metavar="FILE",
@@ -350,7 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the property suite")
     common(p)
     p.add_argument("--max-len", type=count_arg, default=None)
-    p.add_argument("--sample", type=count_arg, default=200)
+    p.add_argument("--sample", type=count_arg, default=verify_mod.DEFAULT_SAMPLE)
     p.set_defaults(func=cmd_verify)
 
     return parser

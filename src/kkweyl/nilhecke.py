@@ -7,28 +7,22 @@ follow the rule  f d_v * g d_w = f v(g) d_{vw}.
 
 from __future__ import annotations
 
-import math
-import time
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
 
 from .rootsys import RootSystem, direct_sum
 from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
-    MPoly, RatFn, ratfn_zero, ratfn_const, ratfn_add, ratfn_neg, ratfn_mul,
-    ratfn_mul_root_inverse, ratfn_scale, root_linear_form, weyl_act_ratfn,
-    _cancel,
+    BudgetExceeded, FactoredPoly, MPoly, RatFn, ratfn_zero, ratfn_const,
+    ratfn_add, ratfn_neg, ratfn_mul, ratfn_mul_root_inverse, ratfn_scale,
+    weyl_act_ratfn,
 )
+
+DEFAULT_TERM_BUDGET = 2_000_000
 
 
 class NilHeckeError(ValueError):
     pass
-
-
-class BudgetExceeded(NilHeckeError):
-    """Support-term budget blown; refuse rather than thrash."""
 
 
 @dataclass(frozen=True)
@@ -94,127 +88,11 @@ class _ExpandedOnRead:
 class KKResult:
     w: WeylElt
     c_w: RatFn
-    d_factored: "FactoredPoly"
-    term_count: int
-    elapsed: float
-    term_budget: Optional[int] = None
+    d_factored: FactoredPoly
+    term_budget: int | None = None
     # the expanded polynomial; kept out of repr and == so that neither
     # triggers an expansion of hundreds of thousands of terms
     d_w: MPoly = field(default=_ExpandedOnRead(), repr=False, compare=False)
-
-
-def _times_roots(rs: RootSystem, poly: MPoly, factors: Iterable[int],
-                 budget: Optional[int] = None) -> MPoly:
-    """poly times the positive roots with the given indices, expanded.
-
-    The product runs on rows.  Two variables a_p and a_q are set aside; a
-    row key packs, one byte per variable, the exponents of the others and
-    e_p + e_q in place of e_q, and the row value is one int whose K-bit slot
-    e_p holds the coefficient.  Multiplying by a_p then adds a_q's byte to
-    the key and shifts the value K bits; multiplying by any other variable
-    adds that variable's byte to the key.  A step costs one dict update per
-    row rather than per term.  K fits the L1 norm of the product, which
-    bounds every coefficient of every partial product.  A unit that is not
-    integral, or an exponent that could pass 255, falls back to MPoly
-    multiplication.
-    """
-    roots = [rs.positive_roots[k] for k in factors]
-    n = rs.rank
-    top = max((sum(e) for e in poly.terms), default=0) + len(roots)
-    if n < 2 or top > 255 or not all(type(c) is int for c in poly.terms.values()):
-        for beta in roots:
-            poly = poly * root_linear_form(rs, beta)
-            _check_budget(len(poly.terms), budget)
-        return poly
-    by_use = sorted(range(n), key=lambda i: sum(1 for beta in roots if beta.b[i]))
-    p, q = by_use[-1], by_use[-2]
-    bound = (sum(abs(c) for c in poly.terms.values())
-             * math.prod(sum(beta.b) for beta in roots))
-    K = bound.bit_length() + 1
-    byte = [1 << 8 * i for i in range(n)]
-    rows: dict[int, int] = {}
-    for e, c in poly.terms.items():
-        e = list(e)
-        slot, e[p], e[q] = e[p], 0, e[p] + e[q]
-        key = int.from_bytes(bytes(e), "little")
-        rows[key] = rows.get(key, 0) + (c << K * slot)
-    for beta in roots:
-        out: dict[int, int] = {}
-        get = out.get
-        for i, c in enumerate(beta.b):
-            if not c:
-                continue
-            shift = K if i == p else 0
-            s = byte[q if i == p else i]
-            for key, v in rows.items():
-                key += s
-                out[key] = get(key, 0) + (c * v << shift)
-        if not all(out.values()):
-            out = {key: v for key, v in out.items() if v}
-        rows = out
-        # every nonzero row holds at least one term
-        _check_budget(len(rows), budget)
-    return MPoly(n, _unpack_rows(rows, n, p, q, K, budget))
-
-
-def _unpack_rows(rows: dict[int, int], n: int, p: int, q: int, K: int,
-                 budget: Optional[int]) -> dict[tuple[int, ...], int]:
-    """The terms of _times_roots' rows: slots are read as balanced digits,
-    each in (-2^(K-1), 2^(K-1))."""
-    full, half, mask = 1 << K, 1 << K - 1, (1 << K) - 1
-    terms = {}
-    for key, v in rows.items():
-        e = list(key.to_bytes(n, "little"))
-        pq, slot = e[q], 0
-        while v:
-            c = v & mask
-            if c >= half:
-                c -= full
-            if c:
-                e[p], e[q] = slot, pq - slot
-                terms[tuple(e)] = c
-            v = (v - c) >> K
-            slot += 1
-        _check_budget(len(terms), budget)
-    return terms
-
-
-def _check_budget(count: int, budget: Optional[int]) -> None:
-    if budget is not None and count > budget:
-        raise BudgetExceeded(f"expansion terms {count} exceed budget {budget}")
-
-
-@dataclass(frozen=True)
-class FactoredPoly:
-    """unit * product of positive roots, the positive roots given by index.
-
-    Positive roots are pairwise non-proportional linear forms, hence pairwise
-    non-associate irreducibles of the UFD Q[a_1..a_n]; divisibility and
-    equality are decided from the factors without expanding the product.
-    """
-    rs: RootSystem
-    unit: MPoly
-    root_factors: tuple[int, ...]
-
-    def expand(self, budget: Optional[int] = None) -> MPoly:
-        """The product in full; BudgetExceeded once it has more than `budget`
-        terms, or as soon as a partial product has more than `budget` rows."""
-        return _times_roots(self.rs, self.unit, self.root_factors, budget)
-
-    def divisible_by(self, k: int) -> bool:
-        """Whether positive root k divides the product: it is one of the root
-        factors or it divides the unit, which _cancel decides with its mod-P
-        pre-test before any trial division."""
-        return k in self.root_factors or not _cancel(self.rs, self.unit, (k,), (k,)).den
-
-    def equals(self, other: "FactoredPoly") -> bool:
-        """Exact equality: shared root factors cancel, and only the two units
-        times their unshared factors are expanded and compared."""
-        if self.rs is not other.rs:
-            return False
-        mine, theirs = Counter(self.root_factors), Counter(other.root_factors)
-        return (_times_roots(self.rs, self.unit, (mine - theirs).elements())
-                == _times_roots(self.rs, other.unit, (theirs - mine).elements()))
 
 
 class NilHeckeEngine:
@@ -223,7 +101,7 @@ class NilHeckeEngine:
     # longest word the brute-force oracle expands (2^len signed sequences)
     brute_cap = 12
 
-    def __init__(self, rs: RootSystem, term_budget: int = 2_000_000):
+    def __init__(self, rs: RootSystem, term_budget: int = DEFAULT_TERM_BUDGET):
         self.rs = rs
         self.term_budget = term_budget
         self.bruhat = BruhatOrder(rs)
@@ -353,7 +231,6 @@ class NilHeckeEngine:
         The denominator of c_w must cancel entirely into that product; any
         residue signals an arithmetic bug.
         """
-        t0 = time.monotonic()
         c = self.c_w(w)
         den = set(c.den)
         if len(den) != len(c.den):
@@ -361,12 +238,11 @@ class NilHeckeEngine:
                 f"residual denominator with multiplicity: {c.den}; arithmetic bug")
         remaining = [k for k in range(len(self.rs.positive_roots)) if k not in den]
         sign = -1 if w.length % 2 else 1
-        unit = c.num.scale(sign)
-        factored = FactoredPoly(self.rs, unit, tuple(remaining))
-        d = factored.expand(self.term_budget) if expand else None
-        count = d.term_count() if d is not None else unit.term_count()
-        return KKResult(w, c, factored, count, time.monotonic() - t0,
-                        self.term_budget, d)
+        factored = FactoredPoly(self.rs, c.num.scale(sign), tuple(remaining))
+        result = KKResult(w, c, factored, self.term_budget)
+        if expand:
+            result.d_w  # expands within the budget, once
+        return result
 
     # -- identity checks ---------------------------------------------------------------
 

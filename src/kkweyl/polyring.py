@@ -1,5 +1,5 @@
-"""Sparse multivariate polynomials over exact rationals, and rational functions
-whose denominators are multisets of positive roots.
+"""Sparse multivariate polynomials over exact rationals: plain, factored as a
+unit times positive roots, or over a multiset of positive roots.
 
 Variables a_1..a_n are the simple roots of the owning system.  Coefficients are
 Python ints wherever possible and Fractions otherwise; both compare and hash
@@ -33,6 +33,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Sequence
 
 from .rootsys import Root, RootSystem
 from . import weyl
@@ -46,6 +47,10 @@ P = (1 << 61) - 1
 
 class PolyError(ValueError):
     pass
+
+
+class BudgetExceeded(PolyError):
+    """Support-term budget blown; refuse rather than thrash."""
 
 
 def _div(c: Coeff, d: Coeff):
@@ -471,3 +476,120 @@ def weyl_act_ratfn(w: WeylElt, f: RatFn) -> RatFn:
     if sign < 0:
         num = -num
     return RatFn(f.rs, num, tuple(sorted(den)))
+
+
+# -- factored polynomials ------------------------------------------------------------
+
+
+def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
+                 budget: int | None = None) -> MPoly:
+    """poly times the positive roots with the given indices, expanded.
+
+    The product runs on rows.  Two variables a_p and a_q are set aside; a
+    row key packs, one byte per variable, the exponents of the others and
+    e_p + e_q in place of e_q, and the row value is one int whose K-bit slot
+    e_p holds the coefficient.  Multiplying by a_p then adds a_q's byte to
+    the key and shifts the value K bits; multiplying by any other variable
+    adds that variable's byte to the key.  A step costs one dict update per
+    row rather than per term.  K fits the L1 norm of the product, which
+    bounds every coefficient of every partial product.  A unit that is not
+    integral, or an exponent that could pass 255, falls back to MPoly
+    multiplication by the memoised root forms.
+    """
+    roots = [rs.positive_roots[k] for k in factors]
+    n = rs.rank
+    top = max((sum(e) for e in poly.terms), default=0) + len(roots)
+    if n < 2 or top > 255 or not all(type(c) is int for c in poly.terms.values()):
+        for k in factors:
+            poly = poly * _root_data(rs, k)[0]
+            _check_budget(len(poly.terms), budget)
+        return poly
+    by_use = sorted(range(n), key=lambda i: sum(1 for beta in roots if beta.b[i]))
+    p, q = by_use[-1], by_use[-2]
+    bound = (sum(abs(c) for c in poly.terms.values())
+             * math.prod(sum(beta.b) for beta in roots))
+    K = bound.bit_length() + 1
+    byte = [1 << 8 * i for i in range(n)]
+    rows: dict[int, int] = {}
+    for e, c in poly.terms.items():
+        e = list(e)
+        slot, e[p], e[q] = e[p], 0, e[p] + e[q]
+        key = int.from_bytes(bytes(e), "little")
+        rows[key] = rows.get(key, 0) + (c << K * slot)
+    for beta in roots:
+        out: dict[int, int] = {}
+        get = out.get
+        for i, c in enumerate(beta.b):
+            if not c:
+                continue
+            shift = K if i == p else 0
+            s = byte[q if i == p else i]
+            for key, v in rows.items():
+                key += s
+                out[key] = get(key, 0) + (c * v << shift)
+        if not all(out.values()):
+            out = {key: v for key, v in out.items() if v}
+        rows = out
+        # every nonzero row holds at least one term
+        _check_budget(len(rows), budget)
+    return MPoly(n, _unpack_rows(rows, n, p, q, K, budget))
+
+
+def _unpack_rows(rows: dict[int, int], n: int, p: int, q: int, K: int,
+                 budget: int | None) -> dict[tuple[int, ...], int]:
+    """The terms of _times_roots' rows: slots are read as balanced digits,
+    each in (-2^(K-1), 2^(K-1))."""
+    full, half, mask = 1 << K, 1 << K - 1, (1 << K) - 1
+    terms = {}
+    for key, v in rows.items():
+        e = list(key.to_bytes(n, "little"))
+        pq, slot = e[q], 0
+        while v:
+            c = v & mask
+            if c >= half:
+                c -= full
+            if c:
+                e[p], e[q] = slot, pq - slot
+                terms[tuple(e)] = c
+            v = (v - c) >> K
+            slot += 1
+        _check_budget(len(terms), budget)
+    return terms
+
+
+def _check_budget(count: int, budget: int | None) -> None:
+    if budget is not None and count > budget:
+        raise BudgetExceeded(f"expansion terms {count} exceed budget {budget}")
+
+
+@dataclass(frozen=True)
+class FactoredPoly:
+    """unit * product of positive roots, the positive roots given by index.
+
+    Positive roots are pairwise non-proportional linear forms, hence pairwise
+    non-associate irreducibles of the UFD Q[a_1..a_n]; divisibility and
+    equality are decided from the factors without expanding the product.
+    """
+    rs: RootSystem
+    unit: MPoly
+    root_factors: tuple[int, ...]
+
+    def expand(self, budget: int | None = None) -> MPoly:
+        """The product in full; BudgetExceeded once it has more than `budget`
+        terms, or as soon as a partial product has more than `budget` rows."""
+        return _times_roots(self.rs, self.unit, self.root_factors, budget)
+
+    def divisible_by(self, k: int) -> bool:
+        """Whether positive root k divides the product: it is one of the root
+        factors or it divides the unit, which _cancel decides with its mod-P
+        pre-test before any trial division."""
+        return k in self.root_factors or not _cancel(self.rs, self.unit, (k,), (k,)).den
+
+    def equals(self, other: "FactoredPoly", budget: int | None = None) -> bool:
+        """Exact equality: shared root factors cancel, and only the two units
+        times their unshared factors are expanded, within `budget`, and compared."""
+        if self.rs is not other.rs:
+            return False
+        mine, theirs = self.root_factors, other.root_factors
+        return (_times_roots(self.rs, self.unit, _multiset_diff(mine, theirs), budget)
+                == _times_roots(self.rs, other.unit, _multiset_diff(theirs, mine), budget))

@@ -17,6 +17,8 @@ from . import weyl
 from .weyl import WeylElt
 from .nilhecke import NilHeckeEngine, product_formula_check
 
+DEFAULT_SAMPLE = 200
+
 
 @dataclass
 class VerifyResult:
@@ -213,7 +215,7 @@ def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
 
 def run_suite(rs: RootSystem, order: SimpleOrder, max_len: Optional[int],
               engine: Optional[NilHeckeEngine] = None,
-              sample: Optional[int] = 200) -> list[VerifyResult]:
+              sample: Optional[int] = DEFAULT_SAMPLE) -> list[VerifyResult]:
     """The full property suite at the given length cap; with none, every
     length on a system of rank at most 3 and length 5 above that.  On a
     system of rank at most 3 every case runs; above that the pair checks
@@ -224,7 +226,7 @@ def run_suite(rs: RootSystem, order: SimpleOrder, max_len: Optional[int],
     if max_len is None:
         max_len = len(rs.positive_roots) if small else 5
     pair_sample = None if small else sample
-    results = [
+    return [
         check_product_law(engine, max_len, sample=pair_sample),
         check_recursions(engine, max_len, sample=pair_sample),
         check_support_law(engine, min(max_len, 6)),
@@ -233,4 +235,3 @@ def run_suite(rs: RootSystem, order: SimpleOrder, max_len: Optional[int],
         check_supp_bruhat(rs, order, max_len),
         check_product_formula(),
     ]
-    return results

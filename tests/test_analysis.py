@@ -144,6 +144,19 @@ class TestCertify:
         assert sym.direct_inequality is None
         assert sym.divides_evidence is not None
 
+    def test_equality_check_respects_budget(self, e6, e6_natural):
+        # Both x_w folds stay within 624 terms, but comparing the two d_w
+        # expands 865 terms of unshared factors.
+        w1 = from_word(e6, (3, 1, 4, 5, 6, 5, 4, 3))
+        w2 = from_word(e6, (1, 2, 4, 3, 1, 5, 4, 2))
+        cert = is_good_pair(w1, w2, e6, e6_natural)
+        for budget in (624, 744, 864):
+            sym = certify_distinct(cert, NilHeckeEngine(e6, term_budget=budget))
+            assert not sym.computed and sym.direct_inequality is None
+            assert sym.divides_evidence is not None
+        full = certify_distinct(cert, NilHeckeEngine(e6, term_budget=865))
+        assert full.computed and full.direct_inequality is True
+
 
 class TestScan:
     def test_max_len_one_empty(self, e6, e6_natural, e6_engine):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -206,6 +207,30 @@ class TestGoodPairs:
         assert "FAIL line 1" not in err
         # the echo of a bad line is clipped, however long the line
         assert len(err) < 400
+
+    def test_recheck_streams_its_input(self, tmp_path, capsys):
+        # the records are read one line at a time: the peak does not grow
+        # with the number of copies of a record file (the first one-copy run
+        # warms the caches the later runs share)
+        out = tmp_path / "certs.jsonl"
+        main(["good-pairs", "--type", "E6", "--max-len", "6",
+              "--no-certify", "--output", str(out)])
+        text = out.read_text()
+        records = len(text.splitlines())
+        peaks, sizes = {}, {}
+        for copies in (1, 1, 16):
+            path = tmp_path / f"copies{copies}.jsonl"
+            path.write_text((text + "\n") * copies)   # a blank line after each copy
+            sizes[copies] = path.stat().st_size
+            tracemalloc.start()
+            try:
+                assert main(["good-pairs", "--type", "E6", "--recheck", str(path)]) == 0
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert (f"rechecked {records * copies} certificates, 0 failures"
+                    in capsys.readouterr().out)
+        assert peaks[16] - peaks[1] < (sizes[16] - sizes[1]) / 10
 
     def test_recheck_maps_each_word_and_element_once(self, tmp_path, capsys,
                                                      monkeypatch):
