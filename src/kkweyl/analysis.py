@@ -99,11 +99,14 @@ class GoodPairClauses:
     the top of C1; and s_beta1 is not below w2 or s_beta2 is not below w1 in
     Bruhat order.
 
-    C1 and its top are built once.  Each Bruhat side s_beta <= w is decided by
-    `bruhat` on its first ask and kept per element under beta.b, which hashes
-    faster than a Root (its hash covers the Fraction coordinates); only roots
-    of C1 are asked, so at most candidates x |C1| flags are kept.  A caller
-    checking many pairs makes one object for all of them."""
+    C1 and its top are built once.  The two facts of one involution w that
+    the clauses read are each decided on their first ask and kept per
+    element: the meet of its support with C1, whose one root is beta(w), and
+    each Bruhat side s_beta <= w, decided by `bruhat` and kept under beta.b,
+    which hashes faster than a Root (its hash covers the Fraction
+    coordinates); only roots of C1 are asked, so at most candidates x |C1|
+    flags are kept.  A caller checking many pairs makes one object for all
+    of them."""
 
     def __init__(self, rs: RootSystem, order: SimpleOrder,
                  bruhat: Optional[BruhatOrder] = None):
@@ -113,11 +116,16 @@ class GoodPairClauses:
         column = first_column(rs, order)
         self.c1 = {r.b for r in column}
         self.top = column[-1] if rs.type_tag == "E8" else None
+        self._meets: dict[WeylElt, tuple[Root, ...]] = {}
         self._sides: dict[WeylElt, dict[tuple[int, ...], bool]] = defaultdict(dict)
 
-    def meet(self, w: WeylElt) -> list[Root]:
+    def meet(self, w: WeylElt) -> tuple[Root, ...]:
         """The roots of the support of the involution w that lie in C1."""
-        return [r for r in weyl.support(w, self.order) if r.b in self.c1]
+        meet = self._meets.get(w)
+        if meet is None:
+            meet = self._meets[w] = tuple(
+                r for r in weyl.support(w, self.order) if r.b in self.c1)
+        return meet
 
     def below(self, beta: Root, w: WeylElt) -> bool:
         """Whether s_beta <= w."""

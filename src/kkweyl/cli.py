@@ -224,8 +224,9 @@ def record_checker(rs: RootSystem, order: SimpleOrder,
     symbolic one the bare good pair, or the pair with the evidence its Bruhat
     sides imply, the latter built only when the former does not match.  One
     GoodPairClauses object decides every record, so C1 is built once and
-    each Bruhat side decided once; each distinct word is mapped to its
-    element once and each d_w computed once, across all records checked.  A
+    each C1 meet and each Bruhat side decided once; each distinct word is
+    mapped to its element once, which keeps the reduced word cert_to_json
+    reads, and each d_w computed once, across all records checked.  A
     malformed record raises ValueError, KeyError or TypeError."""
     element = functools.cache(lambda word: weyl.from_word(rs, word))
     good = GoodPairClauses(rs, order, engine.bruhat)

@@ -36,7 +36,6 @@ from fractions import Fraction
 from typing import Sequence
 
 from .rootsys import Root, RootSystem
-from . import weyl
 from .weyl import WeylElt
 
 Coeff = int | Fraction
@@ -263,6 +262,17 @@ def _root_data(rs: RootSystem, k: int) -> tuple[MPoly, _MonomialValues]:
     return data
 
 
+def _times_forms(rs: RootSystem, poly: MPoly, factors: Sequence[int],
+                 budget: int | None = None) -> MPoly:
+    """poly times the memoised linear forms of the positive roots with the
+    given indices, one root at a time; BudgetExceeded as soon as a partial
+    product has more than `budget` terms."""
+    for k in factors:
+        poly = poly * _root_data(rs, k)[0]
+        _check_budget(len(poly.terms), budget)
+    return poly
+
+
 def _nonzero_mod_p(p: MPoly, values: _MonomialValues) -> bool:
     """Whether p has integer coefficients only and is nonzero mod P at the
     point whose monomial values are given."""
@@ -321,28 +331,27 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
 # -- Weyl action ------------------------------------------------------------------
 
 
-def _action_forms(w: WeylElt) -> list[MPoly]:
-    """Images of the variables: w(alpha_i) as linear forms, i = 1..n."""
-    out = []
-    for i in range(1, w.rs.rank + 1):
-        signed = weyl.act_on_simple(w, i)
-        form = _root_data(w.rs, abs(signed) - 1)[0]
-        out.append(form if signed > 0 else -form)
-    return out
+def _signed_image(w: WeylElt, roots: Sequence[int]) -> tuple[int, list[int]]:
+    """w maps each positive root to a positive root up to sign: the product of
+    those signs and the image indices, for the positive roots with the given
+    indices."""
+    images = [w.perm[k] for k in roots]
+    sign = -1 if sum(1 for x in images if x < 0) % 2 else 1
+    return sign, [abs(x) - 1 for x in images]
 
 
 def weyl_act_poly(w: WeylElt, p: MPoly) -> MPoly:
-    """Substitute a_i -> w(alpha_i); a ring automorphism."""
+    """Substitute a_i -> w(alpha_i); a ring automorphism.  Each monomial is a
+    product of simple roots, which w maps to a signed product of positive
+    roots."""
     if p.n != w.rs.rank:
         raise PolyError("polynomial does not match the root system rank")
-    forms = _action_forms(w)
+    simple = w.rs.simple_index
     out = MPoly.zero(p.n)
     for k, c in p.terms.items():
-        mono = MPoly.const(p.n, c)
-        for i, e in enumerate(k):
-            for _ in range(e):
-                mono = mono * forms[i]
-        out = out + mono
+        sign, images = _signed_image(
+            w, [simple[i] for i, e in enumerate(k) for _ in range(e)])
+        out = out + _times_forms(w.rs, MPoly.const(p.n, sign * c), images)
     return out
 
 
@@ -427,12 +436,8 @@ def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
     extra_f = _multiset_diff(g.den, f.den)  # factors f is missing
     extra_g = _multiset_diff(f.den, g.den)
     lcm = tuple(sorted(list(f.den) + extra_f))
-    num_f, num_g = f.num, g.num
-    for k in extra_f:
-        num_f = num_f * _root_data(f.rs, k)[0]
-    for k in extra_g:
-        num_g = num_g * _root_data(f.rs, k)[0]
-    return _cancel(f.rs, num_f + num_g, lcm, set(f.den) & set(g.den))
+    num = _times_forms(f.rs, f.num, extra_f) + _times_forms(f.rs, g.num, extra_g)
+    return _cancel(f.rs, num, lcm, set(f.den) & set(g.den))
 
 
 def ratfn_neg(f: RatFn) -> RatFn:
@@ -465,17 +470,9 @@ def weyl_act_ratfn(w: WeylElt, f: RatFn) -> RatFn:
     w is a ring automorphism, so lowest terms are kept with no cancelling."""
     if f.rs is not w.rs:
         raise PolyError("mixed root systems")
+    sign, den = _signed_image(w, f.den)
     num = weyl_act_poly(w, f.num)
-    den = []
-    sign = 1
-    for k in f.den:
-        img = w.perm[k]
-        if img < 0:
-            sign = -sign
-        den.append(abs(img) - 1)
-    if sign < 0:
-        num = -num
-    return RatFn(f.rs, num, tuple(sorted(den)))
+    return RatFn(f.rs, num if sign > 0 else -num, tuple(sorted(den)))
 
 
 # -- factored polynomials ------------------------------------------------------------
@@ -500,10 +497,7 @@ def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
     n = rs.rank
     top = max((sum(e) for e in poly.terms), default=0) + len(roots)
     if n < 2 or top > 255 or not all(type(c) is int for c in poly.terms.values()):
-        for k in factors:
-            poly = poly * _root_data(rs, k)[0]
-            _check_budget(len(poly.terms), budget)
-        return poly
+        return _times_forms(rs, poly, factors, budget)
     by_use = sorted(range(n), key=lambda i: sum(1 for beta in roots if beta.b[i]))
     p, q = by_use[-1], by_use[-2]
     bound = (sum(abs(c) for c in poly.terms.values())

@@ -5,7 +5,7 @@ An element stores, for each positive root index k (0-based), the signed
 of an element is its number of inversions.
 
 `WeylElt` has `__slots__`: `rs`, `perm`, one slot per answer it keeps once
-computed (length, canonical word, support, involution test) and its signed
+computed (length, canonical word, involution test) and its signed
 table `(0,) + perm + (negated perm, reversed)`, built when it is first the
 left operand of `multiply`.  The table maps a signed index x to a(x) (a
 negative x reads from the end), so a*b is one `itemgetter` read of a's table
@@ -26,15 +26,14 @@ class WeylError(ValueError):
 
 
 class WeylElt:
-    __slots__ = ("rs", "perm", "_length", "_word", "_support", "_is_involution",
-                 "_table")
+    __slots__ = ("rs", "perm", "_length", "_word", "_is_involution", "_table")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...],
                  length: int | None = None):
         self.rs = rs
         self.perm = perm
         self._length = length
-        self._word = self._support = self._is_involution = self._table = None
+        self._word = self._is_involution = self._table = None
 
     def __hash__(self):
         return hash(self.perm)
@@ -281,12 +280,7 @@ def parabolic_factorize(w: WeylElt, I: frozenset[int] | set[int]) -> tuple[WeylE
 
 def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
     """Orthogonal support of an involution: greedily extract the lex-maximal
-    negated positive root and peel its reflection off, until the identity.
-    The roots of the last order asked are kept in the element's slot, like
-    length; each call returns a fresh list."""
-    cached = w._support
-    if cached is not None and cached[0] == order:
-        return list(cached[1])
+    negated positive root and peel its reflection off, until the identity."""
     rs = w.rs
     if not w.is_involution():
         raise WeylError("support is defined for involutions only")
@@ -299,7 +293,6 @@ def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
         beta = max(negated, key=lambda r: lex_key(order, r))
         out.append(beta)
         cur = multiply(reflection(rs, beta), cur)
-    w._support = (order, tuple(out))
     return out
 
 

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from kkweyl.rootsys import build_e_system, default_order_name, first_column, named_order
@@ -104,6 +106,19 @@ class TestIsGoodPair:
         w2 = reflection(e6, col[0])
         with pytest.raises(NotAGoodPair, match="meets C1 in 2"):
             is_good_pair(w, w2, e6, e6_natural)
+
+    def test_both_sides_below_rejected(self, e6, e6_natural):
+        # s_beta <= w0 for every root beta, so the pair (w0, w0) fails the
+        # Bruhat clause for any two distinct C1 roots
+        w0 = identity(e6)
+        while (i := next((i for i in range(1, 7) if weyl.act_on_simple(w0, i) > 0),
+                         None)) is not None:
+            w0 = weyl.multiply_simple(w0, i)
+        assert w0.length == 36
+        col = first_column(e6, e6_natural)
+        with pytest.raises(NotAGoodPair,
+                           match=re.escape("both s_{beta1} <= w2 and s_{beta2} <= w1")):
+            GoodPairClauses(e6, e6_natural).clauses(w0, col[0], w0, col[1])
 
     def test_non_involution_rejected(self, e6, e6_natural):
         w = from_word(e6, (1, 3))
@@ -271,6 +286,31 @@ def test_bruhat_set_is_that_of_the_c1_reflection(type_tag, candidates):
         s_beta = reflection(rs, meet[0])
         assert [good.below(g, w) for g in col] == [good.below(g, s_beta) for g in col]
     assert seen == candidates
+
+
+def test_clauses_decide_each_meet_once(e6, e6_natural, monkeypatch):
+    # the C1 meet of an involution is kept by the clauses object, per element:
+    # equal elements built apart share it
+    calls = []
+    support = weyl.support
+
+    def counted(w, order):
+        calls.append(w.perm)
+        return support(w, order)
+
+    monkeypatch.setattr(weyl, "support", counted)
+    col = first_column(e6, e6_natural)
+    good = GoodPairClauses(e6, e6_natural)
+    w1, w2 = reflection(e6, col[0]), reflection(e6, col[2])
+    assert good.meet(w1) == (col[0],)
+    cert = good.check(w1, w2)
+    for _ in range(2):
+        v1 = from_word(e6, weyl.reduced_word(w1))
+        v2 = from_word(e6, weyl.reduced_word(w2))
+        assert v1 is not w1 and v2 is not w2
+        assert good.check(v1, v2) == cert
+        assert good.meet(v2) == (col[2],)
+    assert sorted(calls) == sorted([w1.perm, w2.perm])
 
 
 def test_certification_never_expands(e6, e6_natural, monkeypatch):

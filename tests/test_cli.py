@@ -36,6 +36,13 @@ class TestKK:
     def test_bad_letter_usage_error(self, capsys):
         assert main(["kk", "--type", "A2", "--word", "1 9"]) == 64
 
+    def test_non_integer_letter_usage_error(self, capsys):
+        assert main(["kk", "--type", "A2", "--word", "1 x"]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("usage error: word must be whitespace-separated "
+                                "integers: '1 x'\n")
+
     def test_expansion_budget_exit_69(self, capsys):
         # the x_w fold is tiny; only expanding d_w (27 root factors) blows up
         assert main(["kk", "--type", "A7", "--word", "1",
@@ -66,6 +73,17 @@ class TestGenTables:
         assert lines[0] == "b,eps,u_word,u_len,premise_ok"
         assert lines[1].startswith("100000,")
         assert lines[-1].startswith("122321,")
+
+    def test_text_lines(self, tmp_path, capsys):
+        for fmt in ("json", "text"):
+            assert main(["gen-tables", "--type", "E6", "--order", "natural",
+                         "--format", fmt, "--output-dir", str(tmp_path)]) == 0
+        rows = json.loads((tmp_path / "table_E6_natural.json").read_text())
+        lines = (tmp_path / "table_E6_natural.txt").read_text().splitlines()
+        assert lines[0] == "100000  l(u)= 1  u = 1"
+        assert lines == [
+            f"{''.join(map(str, r['b']))}  l(u)={r['u_len']:2d}  u = "
+            + " ".join(map(str, r["u_word"])) for r in rows]
 
     def test_all_orders_without_flag(self, tmp_path, capsys):
         main(["gen-tables", "--type", "E6", "--output-dir", str(tmp_path)])
@@ -302,6 +320,22 @@ class TestGoodPairs:
         assert data.count(b"\n") == 900
         assert hashlib.sha256(data).hexdigest() == \
             "ed1451f29715bca32f9ab06aa735e0683cfe0f316ccccd72ed9f9cc5ec840e8a"
+
+    def test_certification_error_exit_3(self, tmp_path, capsys, monkeypatch):
+        scan = cli.scan_good_pairs
+
+        def failing_scan(*args, **kwargs):
+            yield next(scan(*args, **kwargs))
+            raise analysis.AnalysisError("good pair with equal polynomials; contradiction")
+
+        monkeypatch.setattr(cli, "scan_good_pairs", failing_scan)
+        out = tmp_path / "certs.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "3",
+                     "--output", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "error: good pair with equal polynomials; contradiction\n"
+        # the record written before the failure stays, and no count is printed
+        assert len(out.read_text().splitlines()) == 1
 
     def test_missing_recheck_file_exit_1(self, capsys):
         assert main(["good-pairs", "--type", "E6",

@@ -264,6 +264,10 @@ class TestBruteForce:
         with pytest.raises(NilHeckeError, match="brute-force cap"):
             NilHeckeEngine(e6).bruteforce_expansion(word)
 
+    def test_nonreduced_word_rejected(self, a2_engine):
+        with pytest.raises(NilHeckeError, match=r"word \(1, 2, 2\) is not reduced"):
+            a2_engine.bruteforce_expansion((1, 2, 2))
+
     def test_agrees_with_fold_a3(self, a3, a3_engine):
         for w in enumerate_elements(a3, 6):
             word = reduced_word(w)

@@ -174,6 +174,84 @@ class TestWeylAction:
             assert weyl_act_poly(weyl.inverse(w), q) == p
 
 
+def substituted(w, p):
+    """Reference Weyl action: a_i -> w(alpha_i), each image a signed linear
+    form, with every monomial multiplied out."""
+    rs = w.rs
+    forms = []
+    for k in rs.simple_index:
+        image = w.perm[k]
+        form = root_linear_form(rs, rs.positive_roots[abs(image) - 1])
+        forms.append(form if image > 0 else -form)
+    out = MPoly.zero(p.n)
+    for e, c in p.terms.items():
+        mono = MPoly.const(p.n, c)
+        for form, d in zip(forms, e):
+            for _ in range(d):
+                mono = mono * form
+        out = out + mono
+    return out
+
+
+def product_of_roots(rs, den):
+    out = MPoly.const(rs.rank, 1)
+    for k in den:
+        out = out * root_linear_form(rs, rs.positive_roots[k])
+    return out
+
+
+def poly_up_to_degree(rng, n, degree=4, nterms=6):
+    terms = {}
+    for _ in range(nterms):
+        e = [0] * n
+        for _ in range(rng.randrange(degree + 1)):
+            e[rng.randrange(n)] += 1
+        terms[tuple(e)] = rng.choice([rng.randrange(-9, 10),
+                                      Fraction(rng.randrange(-9, 10), rng.randrange(2, 5))])
+    return MPoly(n, terms)
+
+
+class TestWeylActionOracle:
+    """The Weyl action against plain substitution, over E6 elements that send
+    some simple and some denominator roots to negative roots."""
+
+    @pytest.fixture(scope="class")
+    def elements(self, e6):
+        rng = random.Random(20)
+        out = []
+        while len(out) < 16:
+            w = from_word(e6, tuple(rng.randrange(1, 7) for _ in range(rng.randrange(3, 37))))
+            if sum(1 for k in e6.simple_index if w.perm[k] < 0) >= 2:
+                out.append(w)
+        return out
+
+    def test_poly_matches_substitution(self, e6, elements):
+        rng = random.Random(21)
+        degrees = set()
+        for w in elements:
+            for _ in range(5):
+                p = poly_up_to_degree(rng, 6)
+                degrees.add(p.degree)
+                assert weyl_act_poly(w, p) == substituted(w, p)
+        assert 4 in degrees
+
+    def test_ratfn_matches_substitution(self, e6, elements):
+        rng = random.Random(22)
+        flipped = 0
+        for w in elements:
+            for _ in range(5):
+                den = tuple(sorted(rng.randrange(36) for _ in range(rng.randrange(5))))
+                f = RatFn(e6, poly_up_to_degree(rng, 6), den)
+                out = weyl_act_ratfn(w, f)
+                # w(num / den) = w(num) / w(den), each root of den sent to a
+                # root up to sign: cross-multiplied, with every factor expanded
+                assert len(out.den) == len(den) and out.den == tuple(sorted(out.den))
+                assert (out.num * substituted(w, product_of_roots(e6, den))
+                        == substituted(w, f.num) * product_of_roots(e6, out.den))
+                flipped += sum(1 for k in den if w.perm[k] < 0) % 2
+        assert flipped > 0
+
+
 class TestRatFn:
     def test_add_zero(self, a2):
         f = RatFn(a2, MPoly.var(2, 1), (1,))

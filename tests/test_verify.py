@@ -95,3 +95,24 @@ def test_default_depth_is_every_length_at_rank_3(a3):
     counts = [[(r.name, r.passed, r.failed) for r in verify.run_suite(a3, order, cap)]
               for cap in (None, 6)]
     assert counts[0] == counts[1]
+
+
+def test_dyer_shape_keeps_identity_only_above_the_cap(e6):
+    # verify on an E-type at --max-len 6 checks the whole support of x_w up
+    # to length 5 and only v = id at length 6
+    engine = NilHeckeEngine(e6)
+    asked = []
+    dyer_check = engine.dyer_check
+
+    def counted(w, v):
+        asked.append((w.length, v.is_identity()))
+        return dyer_check(w, v)
+
+    engine.dyer_check = counted
+    res = verify.check_dyer_shape(engine, 6, id_only_above=5)
+    elements = list(weyl.enumerate_elements(e6, 6))
+    top = sum(1 for w in elements if w.length == 6)
+    below = sum(len(weyl.bruhat_interval_subword(w)) for w in elements if w.length <= 5)
+    assert top == 329
+    assert res.ok and res.passed == len(asked) == below + top
+    assert asked.count((6, True)) == top and (6, False) not in asked
