@@ -139,9 +139,11 @@ class GoodPairClauses:
                 beta2: Root) -> GoodPairCertificate:
         """The clauses that follow the C1 meet, for w1 and w2 meeting C1 in
         beta1 and beta2.  Raises NotAGoodPair with the failing clause."""
-        if beta1 == beta2:
+        # roots compare by .b: Root's == also compares the eps Fractions
+        if beta1.b == beta2.b:
             raise NotAGoodPair("beta1 = beta2")
-        if self.top is not None and (beta1 == self.top or beta2 == self.top):
+        top = self.top
+        if top is not None and (beta1.b == top.b or beta2.b == top.b):
             raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
         side1 = not self.below(beta1, w2)
         side2 = not self.below(beta2, w1)

@@ -7,7 +7,8 @@ follow the rule  f d_v * g d_w = f v(g) d_{vw}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .rootsys import RootSystem, direct_sum
 from . import weyl
@@ -64,35 +65,29 @@ class NHElt:
         )
 
 
-class _ExpandedOnRead:
-    """Descriptor behind KKResult.d_w: the first read expands d_factored
-    within the result's term budget and caches the polynomial.
-
-    The dataclass takes this descriptor as the field's default, so an
-    unexpanded result holds either it or None.
-    """
-
-    def __get__(self, obj, objtype=None):
-        if obj is None:
-            return self
-        d = obj.__dict__.get("_d_w")
-        if d is None:
-            d = obj.__dict__["_d_w"] = obj.d_factored.expand(obj.term_budget)
-        return d
-
-    def __set__(self, obj, value):
-        obj.__dict__["_d_w"] = None if value is self else value
-
-
-@dataclass
+@dataclass(init=False)
 class KKResult:
+    """d_w and its factored form for one element.
+
+    The expanded d_w is not a dataclass field, so neither repr, == nor
+    `dataclasses.replace` reads it: its first read expands d_factored within
+    the term budget, and the result is kept.  The constructor still takes it,
+    so replace(r, d_w=p) gives a result whose d_w is p."""
     w: WeylElt
     c_w: RatFn
     d_factored: FactoredPoly
     term_budget: int | None = None
-    # the expanded polynomial; kept out of repr and == so that neither
-    # triggers an expansion of hundreds of thousands of terms
-    d_w: MPoly = field(default=_ExpandedOnRead(), repr=False, compare=False)
+
+    def __init__(self, w: WeylElt, c_w: RatFn, d_factored: FactoredPoly,
+                 term_budget: int | None = None, d_w: MPoly | None = None):
+        self.w, self.c_w, self.d_factored = w, c_w, d_factored
+        self.term_budget = term_budget
+        if d_w is not None:
+            self.d_w = d_w
+
+    @cached_property
+    def d_w(self) -> MPoly:
+        return self.d_factored.expand(self.term_budget)
 
 
 class NilHeckeEngine:

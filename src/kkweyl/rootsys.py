@@ -4,12 +4,14 @@ All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-r
 coefficient vectors are tuples of ints.  Each eps is built with no Fraction
 arithmetic: it is summed in ints as a multiple of the lcm D of the simple vectors'
 denominators, and each coordinate m is read from one Fraction(m, D) per system.  A
-RootSystem is immutable after construction; the only state it gains later is in two
-memos, each filled lazily and keyed by positive-root index: `reflection_memo`, which
-`weyl.reflection` and `weyl.simple_reflection` fill with the group element s_beta
-itself (so its cached length and table are kept), and `root_memo`, which `polyring`
-fills with the root's linear form and a dict from each monomial met so far to its
-value, modulo a prime, at a point on the root's hyperplane.
+RootSystem is immutable after construction; the only state it gains later is in three
+memos, each filled lazily.  Two are keyed by positive-root index: `reflection_memo`,
+which `weyl.reflection` and `weyl.simple_reflection` fill with the group element
+s_beta itself (so its cached length and table are kept), and `root_memo`, which
+`polyring` fills with the root's linear form and a dict from each monomial met so far
+to its value, modulo a prime, at a point on the root's hyperplane.  `lex_scans`, keyed
+by a SimpleOrder's perm, holds the positive-root indices in the descending lex order
+that `weyl.support` scans.
 """
 
 from __future__ import annotations
@@ -146,6 +148,8 @@ class RootSystem:
             (j, _tuple_getter([abs(t) - 1 for t in row]))
             for j, row in zip(self.simple_index, self.reflection_table))
         self.reflection_memo: dict = {}  # root index -> weyl.WeylElt s_beta
+        # SimpleOrder.perm -> positive-root indices in descending lex order
+        self.lex_scans: dict[tuple[int, ...], tuple[int, ...]] = {}
         self.root_memo: dict[int, tuple] = {}
 
     # -- coordinate helpers -------------------------------------------------

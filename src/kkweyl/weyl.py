@@ -77,15 +77,10 @@ def identity(rs: RootSystem) -> WeylElt:
 
 def simple_reflection(rs: RootSystem, i: int) -> WeylElt:
     """The reflection s_i in the simple root alpha_i (1-based): the element
-    that `reflection` memoises for alpha_i, so its length and table are kept
-    per system; on a miss it is filled from rs.reflection_table."""
+    that `reflection` memoises for alpha_i."""
     if not 1 <= i <= rs.rank:
         raise WeylError(f"simple index {i} out of range")
-    k = rs.simple_index[i - 1]
-    s = rs.reflection_memo.get(k)
-    if s is None:
-        s = rs.reflection_memo[k] = WeylElt(rs, rs.reflection_table[i - 1])
-    return s
+    return _reflection(rs, rs.simple_index[i - 1])
 
 
 def multiply(a: WeylElt, b: WeylElt) -> WeylElt:
@@ -166,30 +161,33 @@ def reduced_word(w: WeylElt) -> Word:
 
 
 def reflection(rs: RootSystem, beta: Root) -> WeylElt:
-    """The reflection s_beta for a positive root beta.
-
-    Each element is built on first use and memoised on rs by the index of
-    beta: C beta once (C the Cartan matrix), then one dot product per root.
-    Every call returns the memoised element, so what the element caches, its
-    length among them, is computed once per system.
-    """
+    """The reflection s_beta for a positive root beta: the element memoised
+    on rs, so what it caches, its length among them, is computed once per
+    system."""
     if not beta.positive:
         raise WeylError("reflection expects a positive root")
     k = rs.index_of_b.get(beta.b)
     if k is None:
         raise WeylError(f"{beta.b} is not a root of this system")
+    return _reflection(rs, k)
+
+
+def _reflection(rs: RootSystem, k: int) -> WeylElt:
+    """s_beta for the positive root of index k, built on first use and
+    memoised on rs by k.  A simple root's is its row of rs.reflection_table.
+    Any other beta has a simple root alpha_i whose table entry gamma = s_i(beta)
+    is positive and one height lower, so of a smaller index, and
+    s_beta = s_i s_gamma s_i (w s_gamma w^-1 = s_{w(gamma)}): two table reads."""
     s = rs.reflection_memo.get(k)
     if s is None:
-        c_beta = [sum(a * b for a, b in zip(row, beta.b)) for row in rs.cartan]
-        perm = []
-        for j, r in enumerate(rs.positive_roots):
-            c = sum(a * b for a, b in zip(r.b, c_beta))
-            if not c:
-                perm.append(j + 1)
-            else:
-                perm.append(rs._signed_index(
-                    tuple(g - c * bb for g, bb in zip(r.b, beta.b))))
-        s = rs.reflection_memo[k] = WeylElt(rs, tuple(perm))
+        table = rs.reflection_table
+        i = next((i for i, row in enumerate(table) if 0 < row[k] <= k), None)
+        if i is None:
+            s = WeylElt(rs, table[rs.simple_index.index(k)])
+        else:
+            s = multiply(_reflection(rs, rs.simple_index[i]),
+                         multiply_simple(_reflection(rs, table[i][k] - 1), i + 1))
+        rs.reflection_memo[k] = s
     return s
 
 
@@ -219,8 +217,8 @@ class BruhatOrder:
         if v.rs is not self.rs or w.rs is not self.rs:
             raise WeylError("elements from a different root system")
         lv, left = v.length, w.length
-        if lv > left:
-            return False
+        if lv >= left:   # equal lengths and v <= w force v = w
+            return lv == left and v.perm == w.perm
         if lv == 0:
             return True
         pv, steps = v.perm, self._steps
@@ -280,19 +278,32 @@ def parabolic_factorize(w: WeylElt, I: frozenset[int] | set[int]) -> tuple[WeylE
 
 def support(w: WeylElt, order: SimpleOrder) -> list[Root]:
     """Orthogonal support of an involution: greedily extract the lex-maximal
-    negated positive root and peel its reflection off, until the identity."""
+    negated positive root and peel its reflection off, until the identity.
+
+    The positive roots are scanned once, in descending lex order (kept on rs
+    per order).  Peeling s_beta off leaves the involution whose -1 eigenspace
+    is that of the current one orthogonal to beta, so every root negated
+    later is negated now and lies after beta in the scan."""
     rs = w.rs
     if not w.is_involution():
         raise WeylError("support is defined for involutions only")
+    scan = rs.lex_scans.get(order.perm)
+    if scan is None:
+        roots = rs.positive_roots
+        scan = rs.lex_scans[order.perm] = tuple(sorted(
+            range(len(roots)), key=lambda k: lex_key(order, roots[k]), reverse=True))
+    e = tuple(range(1, len(w.perm) + 1))
     out: list[Root] = []
     cur = w
-    while not cur.is_identity():
-        negated = [rs.positive_roots[k] for k, x in enumerate(cur.perm) if x == -(k + 1)]
-        if not negated:
+    if cur.perm != e:
+        for k in scan:
+            if cur.perm[k] == -(k + 1):
+                out.append(rs.positive_roots[k])
+                cur = multiply(_reflection(rs, k), cur)
+                if cur.perm == e:
+                    break
+        else:
             raise WeylError("involution with no negated root; corrupted element")
-        beta = max(negated, key=lambda r: lex_key(order, r))
-        out.append(beta)
-        cur = multiply(reflection(rs, beta), cur)
     return out
 
 
@@ -324,9 +335,10 @@ def enumerate_involutions(rs: RootSystem, max_len: int) -> Iterator[WeylElt]:
                 if p[k] < 0:
                     continue
                 u = multiply_simple(w, i)
-                if not u.is_involution():
+                if p[k] != k + 1:   # w s_i is an involution iff w(alpha_i) = alpha_i
                     u = multiply(simple_reflection(rs, i), u)
-                    u._length, u._is_involution = n + 2, True
+                    u._length = n + 2
+                u._is_involution = True
                 if u._length <= max_len:
                     pending.setdefault(u._length, {}).setdefault(u.perm, u)
         n += 1

@@ -34,6 +34,11 @@ def a3():
 
 
 @pytest.fixture(scope="session")
+def a4():
+    return build_from_cartan(path_cartan(4))
+
+
+@pytest.fixture(scope="session")
 def e6():
     return build_e_system("E6")
 

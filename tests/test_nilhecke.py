@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -401,6 +402,21 @@ class TestFactoredPoly:
             res.d_w
         with pytest.raises(BudgetExceeded):
             engine.kk_poly(identity(a3), expand=True)
+
+    def test_kk_result_replace_reads_no_expansion(self, a3, monkeypatch):
+        calls = []
+        expand = FactoredPoly.expand
+
+        def counted(self, budget=None):
+            calls.append(budget)
+            return expand(self, budget)
+        monkeypatch.setattr(FactoredPoly, "expand", counted)
+        res = NilHeckeEngine(a3, term_budget=7).kk_poly(identity(a3), expand=False)
+        free = dataclasses.replace(res, term_budget=None)
+        assert calls == [] and free == dataclasses.replace(res, term_budget=None)
+        assert free.d_w.term_count() == 8 and calls == [None]
+        given = dataclasses.replace(res, d_w=free.d_w)
+        assert given.d_w is free.d_w and calls == [None]
 
 
 class TestRecursions:

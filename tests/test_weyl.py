@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from kkweyl.rootsys import SimpleOrder, build_e_system, reflect
+from kkweyl.rootsys import SimpleOrder, build_e_system, lex_key, named_order, reflect
 from kkweyl import weyl
 from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import (
@@ -92,6 +92,30 @@ def filter_involutions(rs, max_len):
     """Reference involution list: the group's BFS filtered by w*w = e."""
     return [w for w in enumerate_elements(rs, max_len)
             if multiply(w, w).is_identity()]
+
+
+def dot_product_reflection(rs, beta):
+    """Reference s_beta as a perm: C beta once (C the Cartan matrix), then
+    each positive root's image r - <r, beta> beta from one dot product."""
+    c_beta = [sum(a * b for a, b in zip(row, beta.b)) for row in rs.cartan]
+    perm = []
+    for j, r in enumerate(rs.positive_roots):
+        c = sum(a * b for a, b in zip(r.b, c_beta))
+        perm.append(rs._signed_index(tuple(g - c * bb for g, bb in zip(r.b, beta.b)))
+                    if c else j + 1)
+    return tuple(perm)
+
+
+def listed_support(w, order):
+    """Reference support: list every negated root, take the lex-maximal one
+    and peel off its dot-product reflection, until the identity."""
+    rs, out = w.rs, []
+    while not w.is_identity():
+        negated = [rs.positive_roots[k] for k, x in enumerate(w.perm) if x == -(k + 1)]
+        beta = max(negated, key=lambda r: lex_key(order, r))
+        out.append(beta)
+        w = WeylElt(rs, compose(WeylElt(rs, dot_product_reflection(rs, beta)), w))
+    return out
 
 
 class TestElement:
@@ -444,6 +468,19 @@ class TestReflection:
             assert reflection(rs, beta) == s   # second call, from the memo
         assert len(rs.reflection_memo) == len(rs.positive_roots)
 
+    @pytest.mark.parametrize("type_tag", ["E6", "E7", "E8"])
+    def test_agrees_with_dot_product_construction(self, type_tag):
+        # a fresh system: the highest root first, so its conjugation chain
+        # fills the memo down to a simple reflection
+        rs = build_e_system(type_tag)
+        for beta in reversed(rs.positive_roots):
+            s = reflection(rs, beta)
+            assert s.perm == dot_product_reflection(rs, beta)
+            assert s.length == 2 * beta.height - 1
+        for i, k in enumerate(rs.simple_index, 1):
+            assert simple_reflection(rs, i) is rs.reflection_memo[k]
+            assert simple_reflection(rs, i) is reflection(rs, rs.simple_roots[i - 1])
+
     def test_memo_returns_the_element_with_its_length(self):
         """Each call returns the memoised element itself, so its length is
         counted once: the second read visits no entry of the permutation."""
@@ -520,6 +557,34 @@ class TestSupport:
         with pytest.raises(WeylError):
             support(from_word(a3, (1, 2)), SimpleOrder((1, 2, 3), 1))
 
+    def test_corrupted_involution_flag_rejected(self, a3):
+        w = from_word(a3, (1, 2))
+        w._is_involution = True
+        with pytest.raises(WeylError, match="corrupted"):
+            support(w, SimpleOrder((1, 2, 3), 1))
+
+    def test_e6_agrees_with_listed_greedy(self, e6, e6_natural, e6_alternate):
+        involutions = list(enumerate_involutions(e6, 36))
+        assert len(involutions) == 892
+        for w in involutions:
+            for order in (e6_natural, e6_alternate):
+                assert support(w, order) == listed_support(w, order)
+
+    def test_e7_agrees_with_listed_greedy_to_length_12(self, e7):
+        order = named_order("E7", "standard")
+        for w in enumerate_involutions(e7, 12):
+            assert support(w, order) == listed_support(w, order)
+
+    def test_scan_order_kept_per_order(self):
+        rs = build_e_system("E6")
+        w = from_word(rs, (1, 6))
+        for name in ("natural", "alternate", "natural"):
+            support(w, named_order("E6", name))
+        natural = named_order("E6", "natural")
+        assert set(rs.lex_scans) == {natural.perm, named_order("E6", "alternate").perm}
+        keys = [lex_key(natural, rs.positive_roots[k]) for k in rs.lex_scans[natural.perm]]
+        assert keys == sorted(keys, reverse=True)
+
 
 class TestEnumeration:
     def test_is_a_generator_function(self):
@@ -560,6 +625,19 @@ class TestEnumeration:
         for w in got:
             assert multiply(w, w).is_identity()
 
+    @pytest.mark.parametrize("system, max_len", [("a4", 10), ("e6", 8)])
+    def test_matches_is_involution_filter_in_order(self, request, system, max_len):
+        rs = request.getfixturevalue(system)
+        assert list(enumerate_involutions(rs, max_len)) == \
+            [w for w in enumerate_elements(rs, max_len) if w.is_involution()]
+
+    def test_preset_flag_agrees_with_perm_recheck_e7(self, e7):
+        got = list(enumerate_involutions(e7, 63))
+        assert len(got) == 10208 and got[0].is_identity()
+        for w in got[1:]:   # every one reached by a twisted step carries the flag
+            assert w._is_involution is True
+            assert WeylElt(e7, w.perm).is_involution()
+
     def test_max_len_zero(self, e6):
         assert list(enumerate_involutions(e6, 0)) == [identity(e6)]
 
@@ -571,7 +649,7 @@ class TestEnumeration:
     def test_a3_matches_brute_filter(self, a3):
         got = list(enumerate_involutions(a3, 6))
         brute = [w for w in enumerate_elements(a3, 6) if w.is_involution()]
-        assert sorted(w.perm for w in got) == sorted(w.perm for w in brute)
+        assert got == brute
         assert len(set(w.perm for w in got)) == len(got)
 
     def test_elements_unique_and_ordered(self, a3):
