@@ -294,10 +294,10 @@ def product_formula_check(rs_sum: RootSystem, w1: WeylElt, w2: WeylElt) -> bool:
     d = NilHeckeEngine(rs_sum).kk_poly(w).d_w
     d1 = NilHeckeEngine(rs1).kk_poly(w1).d_w
     d2 = NilHeckeEngine(rs2).kk_poly(w2).d_w
-    lifted1 = MPoly(rs_sum.rank, {
-        k + (0,) * rs2.rank: c for k, c in d1.terms.items()
-    })
-    lifted2 = MPoly(rs_sum.rank, {
-        (0,) * rs1.rank + k: c for k, c in d2.terms.items()
+    # a packed monomial of rs1 is one of rs_sum as it is; one of rs2 moves
+    # past rs1's fields
+    lifted1 = MPoly.from_packed(rs_sum.rank, d1.packed)
+    lifted2 = MPoly.from_packed(rs_sum.rank, {
+        k << 16 * rs1.rank: c for k, c in d2.packed.items()
     })
     return d == lifted1 * lifted2

@@ -1,9 +1,13 @@
 """Sparse multivariate polynomials over exact rationals: plain, factored as a
 unit times positive roots, or over a multiset of positive roots.
 
-Variables a_1..a_n are the simple roots of the owning system.  Coefficients are
-Python ints wherever possible and Fractions otherwise; both compare and hash
-consistently, so mixed dicts stay canonical.
+Variables a_1..a_n are the simple roots of the owning system.  An MPoly maps
+packed monomials to coefficients: one int holds the exponent of a_{i+1} in bits
+16i to 16i + 15, each below LIMIT = 2^15 (PolyError past it; E8's N = 120
+bounds every degree the library forms), so a product of monomials is one int
+addition.  MPoly(n, terms) takes exponent tuples; MPoly.terms builds them anew.
+Coefficients are Python ints wherever possible and Fractions otherwise; both
+compare and hash consistently, so mixed dicts stay canonical.
 
 Every RatFn the operations return is in lowest terms (no denominator root
 divides the numerator), given inputs in lowest terms.  Positive roots are
@@ -22,15 +26,17 @@ exact divide_by_linear, so every result is the one exact trial division
 gives.
 
 The numerators of a fold share few monomials, so each root memoises the
-value mod P of every monomial it has met at its point a0; an evaluation is
-then one sum of coefficient times memoised value.
+value mod P of every packed monomial it has met at its point a0; an
+evaluation is then one sum of coefficient times memoised value.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
+import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
@@ -43,6 +49,9 @@ Coeff = int | Fraction
 # The prime of the divisibility pre-test in _cancel.
 P = (1 << 61) - 1
 
+# The bound on every exponent of a packed monomial.
+LIMIT = 1 << 15
+
 
 class PolyError(ValueError):
     pass
@@ -50,6 +59,34 @@ class PolyError(ValueError):
 
 class BudgetExceeded(PolyError):
     """Support-term budget blown; refuse rather than thrash."""
+
+
+@functools.cache
+def _layout(n: int) -> tuple[struct.Struct, int]:
+    """The bytes of a packed monomial in n variables; its fields' top bits."""
+    return struct.Struct(f"<{n}H"), sum(LIMIT << 16 * i for i in range(n))
+
+
+def _pack(n: int, e: Sequence[int]) -> int:
+    fmt, high = _layout(n)
+    try:
+        k = int.from_bytes(fmt.pack(*e), "little")
+    except struct.error:  # wrong length, or an exponent outside [0, 2^16)
+        k = high
+    if k & high:
+        raise PolyError(f"{e!r} is no monomial in {n} variables below {LIMIT}")
+    return k
+
+
+def _unpack(n: int, k: int) -> tuple[int, ...]:
+    fmt = _layout(n)[0]
+    return fmt.unpack(k.to_bytes(fmt.size, "little"))
+
+
+def _hull(keys) -> int:
+    """The OR of packed monomials: a field's top bit is set in it exactly
+    when some exponent there reaches LIMIT."""
+    return functools.reduce(operator.or_, keys, 0)
 
 
 def _div(c: Coeff, d: Coeff):
@@ -62,51 +99,63 @@ def _div(c: Coeff, d: Coeff):
 
 
 class MPoly:
-    """Sparse polynomial: map from exponent tuples to nonzero coefficients."""
+    """Sparse polynomial: map from packed monomials to nonzero coefficients."""
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "packed")
 
     def __init__(self, n: int, terms: dict[tuple[int, ...], Coeff] | None = None):
+        """terms maps exponent tuples of length n to coefficients; each key is
+        checked, and zero coefficients are dropped."""
         self.n = n
-        if terms and not all(terms.values()):
-            terms = {k: c for k, c in terms.items() if c}
-        self.terms = terms or {}
+        packed = {_pack(n, e): c for e, c in (terms or {}).items()}
+        self.packed = {k: c for k, c in packed.items() if c}
+
+    @classmethod
+    def from_packed(cls, n: int, packed: dict[int, Coeff]) -> "MPoly":
+        """The polynomial with these packed terms, taken as they are."""
+        p = cls.__new__(cls)
+        p.n, p.packed = n, packed
+        return p
+
+    @property
+    def terms(self) -> dict[tuple[int, ...], Coeff]:
+        """The terms keyed by exponent tuple, in a new dict on each read."""
+        return {_unpack(self.n, k): c for k, c in self.packed.items()}
 
     # -- constructors ---------------------------------------------------------
 
     @classmethod
     def zero(cls, n: int) -> "MPoly":
-        return cls(n)
+        return cls.from_packed(n, {})
 
     @classmethod
     def const(cls, n: int, c) -> "MPoly":
         c = _norm_coeff(c)
-        return cls(n, {(0,) * n: c} if c else {})
+        return cls.from_packed(n, {0: c} if c else {})
 
     @classmethod
     def var(cls, n: int, i: int) -> "MPoly":
         """The variable a_i, 1-based."""
-        e = tuple(1 if j == i - 1 else 0 for j in range(n))
-        return cls(n, {e: 1})
+        return cls(n, {tuple(int(j == i - 1) for j in range(n)): 1})
 
     # -- ring operations -------------------------------------------------------
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.packed)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __eq__(self, other):
-        return isinstance(other, MPoly) and self.n == other.n and self.terms == other.terms
+        return isinstance(other, MPoly) and self.n == other.n and self.packed == other.packed
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
+        return hash((self.n, frozenset(self.packed.items())))
 
     def __add__(self, other: "MPoly") -> "MPoly":
         if self.n != other.n:
             raise PolyError("mixed variable counts")
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if len(a) < len(b):
             a, b = b, a
         out = dict(a)
@@ -120,10 +169,10 @@ class MPoly:
                     out[k] = v
                 else:
                     del out[k]
-        return MPoly(self.n, out)
+        return MPoly.from_packed(self.n, out)
 
     def __neg__(self) -> "MPoly":
-        return MPoly(self.n, {k: -c for k, c in self.terms.items()})
+        return MPoly.from_packed(self.n, {k: -c for k, c in self.packed.items()})
 
     def __sub__(self, other: "MPoly") -> "MPoly":
         return self + (-other)
@@ -131,59 +180,69 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if self.n != other.n:
             raise PolyError("mixed variable counts")
-        a, b = self.terms, other.terms
+        a, b = self.packed, other.packed
         if len(a) < len(b):
             a, b = b, a
+        high = _layout(self.n)[1]
+        # With every exponent below LIMIT / 2 the product's stay below LIMIT;
+        # otherwise its top bits are tested, as a sum of two exponents below
+        # LIMIT never carries into the next field.
+        near = (_hull(a) | _hull(b)) & high >> 1
         # b is the smaller operand.  One term of b maps the keys of a one to
         # one, and nonzero coefficients have a nonzero product, so a single
         # term needs no merging and no zero test.
         if len(b) == 1:
             (kb, cb), = b.items()
-            if any(kb):
-                return MPoly(self.n, {tuple(map(operator.add, ka, kb)): ca * cb
-                                      for ka, ca in a.items()})
-            return MPoly(self.n, {ka: ca * cb for ka, ca in a.items()})
-        out: dict[tuple[int, ...], Coeff] = {}
-        for kb, cb in b.items():
-            for ka, ca in a.items():
-                k = tuple(map(operator.add, ka, kb))
-                p = ca * cb
-                v = out.get(k)
-                if v is None:
-                    out[k] = p
-                else:
-                    v = v + p
-                    if v:
-                        out[k] = v
+            out = {ka + kb: ca * cb for ka, ca in a.items()}
+        else:
+            out = {}
+            for kb, cb in b.items():
+                for ka, ca in a.items():
+                    k = ka + kb
+                    p = ca * cb
+                    v = out.get(k)
+                    if v is None:
+                        out[k] = p
                     else:
-                        del out[k]
-        return MPoly(self.n, out)
+                        v = v + p
+                        if v:
+                            out[k] = v
+                        else:
+                            del out[k]
+        if near and _hull(out) & high:
+            raise PolyError(f"a product exponent reaches {LIMIT}")
+        return MPoly.from_packed(self.n, out)
 
     def scale(self, c) -> "MPoly":
         c = _norm_coeff(c)
         if not c:
-            return MPoly(self.n)
-        return MPoly(self.n, {k: _norm_coeff(v * c) for k, v in self.terms.items()})
+            return MPoly.zero(self.n)
+        return MPoly.from_packed(
+            self.n, {k: _norm_coeff(v * c) for k, v in self.packed.items()})
 
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
-        return max((sum(k) for k in self.terms), default=-1)
+        return max((sum(_unpack(self.n, k)) for k in self.packed), default=-1)
 
     def term_count(self) -> int:
-        return len(self.terms)
+        return len(self.packed)
 
     def coefficient(self, exponents: tuple[int, ...]) -> Coeff:
-        return self.terms.get(exponents, 0)
+        try:
+            return self.packed.get(_pack(self.n, exponents), 0)
+        except PolyError:  # no term of a polynomial has this monomial
+            return 0
 
     # -- rendering ---------------------------------------------------------------
 
     def render(self, varname: str = "a") -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for k in sorted(self.terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
-            c = self.terms[k]
+        for k in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
+            c = terms[k]
             mono = "*".join(
                 f"{varname}{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(k) if e
@@ -221,16 +280,12 @@ def _render_coeff(c: Coeff) -> str:
 
 def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
     """The root as a degree-1 polynomial in the simple-root variables."""
-    n = rs.rank
-    return MPoly(n, {
-        tuple(1 if j == i else 0 for j in range(n)): b
-        for i, b in enumerate(beta.b) if b
-    })
+    return MPoly.from_packed(rs.rank, {1 << 16 * i: b for i, b in enumerate(beta.b) if b})
 
 
 class _MonomialValues(dict):
-    """Monomial exponent tuple -> its value mod P at the point a0, each
-    computed on first read."""
+    """Packed monomial -> its value mod P at the point a0, each computed on
+    first read."""
 
     __slots__ = ("point",)
 
@@ -238,8 +293,9 @@ class _MonomialValues(dict):
         super().__init__()
         self.point = point
 
-    def __missing__(self, e: tuple[int, ...]) -> int:
-        v = self[e] = math.prod(pow(x, d, P) for x, d in zip(self.point, e)) % P
+    def __missing__(self, k: int) -> int:
+        e = _unpack(len(self.point), k)
+        v = self[k] = math.prod(pow(x, d, P) for x, d in zip(self.point, e)) % P
         return v
 
 
@@ -269,14 +325,14 @@ def _times_forms(rs: RootSystem, poly: MPoly, factors: Sequence[int],
     product has more than `budget` terms."""
     for k in factors:
         poly = poly * _root_data(rs, k)[0]
-        _check_budget(len(poly.terms), budget)
+        _check_budget(len(poly.packed), budget)
     return poly
 
 
 def _nonzero_mod_p(p: MPoly, values: _MonomialValues) -> bool:
     """Whether p has integer coefficients only and is nonzero mod P at the
     point whose monomial values are given."""
-    total = sum(map(operator.mul, p.terms.values(), map(values.__getitem__, p.terms)))
+    total = sum(map(operator.mul, p.packed.values(), map(values.__getitem__, p.packed)))
     # a Fraction coefficient makes the total a Fraction
     return type(total) is int and total % P != 0
 
@@ -290,18 +346,18 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
     """
     if L.is_zero():
         raise PolyError("division by zero")
-    keys = list(L.terms)
-    if any(sum(k) != 1 for k in keys):
+    # a variable's monomial is a power of two at the bottom of its field
+    if any(k & k - 1 or (k.bit_length() - 1) % 16 for k in L.packed):
         raise PolyError("divisor must be linear with zero constant term")
-    j = min(k.index(1) for k in keys)
-    c0 = L.terms[tuple(1 if i == j else 0 for i in range(L.n))]
-    rest = [(k.index(1), c) for k, c in L.terms.items() if k.index(1) != j]
+    uj = min(L.packed)  # the monomial of the leading variable a_{j+1}
+    shift, c0 = uj.bit_length() - 1, L.packed[uj]
+    rest = [(ui, c) for ui, c in L.packed.items() if ui != uj]
 
     # bucket terms by their degree in the leading variable; eliminate top-down
-    buckets: dict[int, dict[tuple[int, ...], Coeff]] = {}
-    for k, c in p.terms.items():
-        buckets.setdefault(k[j], {})[k] = c
-    q: dict[tuple[int, ...], Coeff] = {}
+    buckets: dict[int, dict[int, Coeff]] = {}
+    for k, c in p.packed.items():
+        buckets.setdefault(k >> shift & 0xFFFF, {})[k] = c
+    q: dict[int, Coeff] = {}
     for d in range(max(buckets, default=0), 0, -1):
         layer = buckets.get(d)
         if not layer:
@@ -309,12 +365,10 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
         below = buckets.setdefault(d - 1, {})
         for k, c in layer.items():
             t = _div(c, c0)
-            kq = k[:j] + (d - 1,) + k[j + 1:]
+            kq = k - uj
             q[kq] = t
-            for (i, ci) in rest:
-                k2 = list(kq)
-                k2[i] += 1
-                k2 = tuple(k2)
+            for ui, ci in rest:
+                k2 = kq + ui
                 v = below.get(k2)
                 add = -t * ci
                 if v is None:
@@ -325,7 +379,12 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
                         below[k2] = v
                     else:
                         del below[k2]
-    return MPoly(p.n, q), MPoly(p.n, buckets.get(0, {}))
+    r = buckets.get(0, {})
+    # A step trades a_{j+1} for another variable, so no exponent passes the sum
+    # of two of p's: a field may reach its top bit but never carries.
+    if (_hull(q) | _hull(r)) & _layout(p.n)[1]:
+        raise PolyError(f"a quotient or remainder exponent reaches {LIMIT}")
+    return MPoly.from_packed(p.n, q), MPoly.from_packed(p.n, r)
 
 
 # -- Weyl action ------------------------------------------------------------------
@@ -348,9 +407,9 @@ def weyl_act_poly(w: WeylElt, p: MPoly) -> MPoly:
         raise PolyError("polynomial does not match the root system rank")
     simple = w.rs.simple_index
     out = MPoly.zero(p.n)
-    for k, c in p.terms.items():
+    for k, c in p.packed.items():
         sign, images = _signed_image(
-            w, [simple[i] for i, e in enumerate(k) for _ in range(e)])
+            w, [simple[i] for i, e in enumerate(_unpack(p.n, k)) for _ in range(e)])
         out = out + _times_forms(w.rs, MPoly.const(p.n, sign * c), images)
     return out
 
@@ -483,32 +542,35 @@ def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
     """poly times the positive roots with the given indices, expanded.
 
     The product runs on rows.  Two variables a_p and a_q are set aside; a
-    row key packs, one byte per variable, the exponents of the others and
-    e_p + e_q in place of e_q, and the row value is one int whose K-bit slot
-    e_p holds the coefficient.  Multiplying by a_p then adds a_q's byte to
-    the key and shifts the value K bits; multiplying by any other variable
-    adds that variable's byte to the key.  A step costs one dict update per
-    row rather than per term.  K fits the L1 norm of the product, which
-    bounds every coefficient of every partial product.  A unit that is not
-    integral, or an exponent that could pass 255, falls back to MPoly
-    multiplication by the memoised root forms.
+    row key is a packed monomial with e_p + e_q in a_q's field and 0 in
+    a_p's, and the row value is one int whose K-bit slot e_p holds the
+    coefficient.  Multiplying by a_p adds a_q's monomial to the key and
+    shifts the value K bits; multiplying by another variable adds its
+    monomial to the key: one dict update per row rather than per term.  K
+    fits the L1 norm of the product, which bounds every coefficient of every
+    partial product.  Degrees in each variable add under products (Q[a] is a
+    domain), so poly's and the roots' decide up front whether an exponent
+    would reach LIMIT; below it e_p + e_q fits its field.  A unit that is not
+    integral, or a rank below 2, falls back to MPoly products by root forms.
     """
     roots = [rs.positive_roots[k] for k in factors]
     n = rs.rank
-    top = max((sum(e) for e in poly.terms), default=0) + len(roots)
-    if n < 2 or top > 255 or not all(type(c) is int for c in poly.terms.values()):
+    if n < 2 or not all(type(c) is int for c in poly.packed.values()):
         return _times_forms(rs, poly, factors, budget)
-    by_use = sorted(range(n), key=lambda i: sum(1 for beta in roots if beta.b[i]))
+    uses = [sum(1 for beta in roots if beta.b[i]) for i in range(n)]
+    tops = map(max, zip(*(_unpack(n, k) for k in poly.packed)))
+    if any(t + u >= LIMIT for t, u in zip(tops, uses)):
+        raise PolyError(f"a product exponent reaches {LIMIT}")
+    by_use = sorted(range(n), key=uses.__getitem__)
     p, q = by_use[-1], by_use[-2]
-    bound = (sum(abs(c) for c in poly.terms.values())
+    bound = (sum(abs(c) for c in poly.packed.values())
              * math.prod(sum(beta.b) for beta in roots))
     K = bound.bit_length() + 1
-    byte = [1 << 8 * i for i in range(n)]
+    step = (1 << 16 * p) - (1 << 16 * q)  # moves one degree from a_q to a_p
     rows: dict[int, int] = {}
-    for e, c in poly.terms.items():
-        e = list(e)
-        slot, e[p], e[q] = e[p], 0, e[p] + e[q]
-        key = int.from_bytes(bytes(e), "little")
+    for k, c in poly.packed.items():
+        slot = k >> 16 * p & 0xFFFF
+        key = k - slot * step
         rows[key] = rows.get(key, 0) + (c << K * slot)
     for beta in roots:
         out: dict[int, int] = {}
@@ -517,7 +579,7 @@ def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
             if not c:
                 continue
             shift = K if i == p else 0
-            s = byte[q if i == p else i]
+            s = 1 << 16 * (q if i == p else i)
             for key, v in rows.items():
                 key += s
                 out[key] = get(key, 0) + (c * v << shift)
@@ -526,29 +588,21 @@ def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
         rows = out
         # every nonzero row holds at least one term
         _check_budget(len(rows), budget)
-    return MPoly(n, _unpack_rows(rows, n, p, q, K, budget))
-
-
-def _unpack_rows(rows: dict[int, int], n: int, p: int, q: int, K: int,
-                 budget: int | None) -> dict[tuple[int, ...], int]:
-    """The terms of _times_roots' rows: slots are read as balanced digits,
-    each in (-2^(K-1), 2^(K-1))."""
+    # read the slots as balanced digits, each in (-2^(K-1), 2^(K-1)); slot
+    # e_p holds the monomial key + e_p * step
     full, half, mask = 1 << K, 1 << K - 1, (1 << K) - 1
     terms = {}
     for key, v in rows.items():
-        e = list(key.to_bytes(n, "little"))
-        pq, slot = e[q], 0
         while v:
             c = v & mask
             if c >= half:
                 c -= full
             if c:
-                e[p], e[q] = slot, pq - slot
-                terms[tuple(e)] = c
+                terms[key] = c
             v = (v - c) >> K
-            slot += 1
+            key += step
         _check_budget(len(terms), budget)
-    return terms
+    return MPoly.from_packed(n, terms)
 
 
 def _check_budget(count: int, budget: int | None) -> None:

@@ -8,8 +8,8 @@ RootSystem is immutable after construction; the only state it gains later is in 
 memos, each filled lazily.  Two are keyed by positive-root index: `reflection_memo`,
 which `weyl.reflection` and `weyl.simple_reflection` fill with the group element
 s_beta itself (so its cached length and table are kept), and `root_memo`, which
-`polyring` fills with the root's linear form and a dict from each monomial met so far
-to its value, modulo a prime, at a point on the root's hyperplane.  `lex_scans`, keyed
+`polyring` fills with the root's linear form and a dict from each packed monomial met
+so far to its value, modulo a prime, at a point on the root's hyperplane.  `lex_scans`, keyed
 by a SimpleOrder's perm, holds the positive-root indices in the descending lex order
 that `weyl.support` scans.
 """

@@ -365,6 +365,37 @@ class TestFactoredPoly:
                 expected = expected * root_linear_form(a3, a3.positive_roots[k])
             assert FactoredPoly(a3, unit, factors).expand() == expected, unit
 
+    @pytest.mark.parametrize("system,factors", [("a3", (0, 3, 5, 1, 4, 2)),
+                                                 ("e6", (0, 7, 20, 35, 9, 9))])
+    def test_expand_past_degree_255(self, request, system, factors):
+        # exponents past one byte (255) stay on the row kernel
+        rs = request.getfixturevalue(system)
+        n = rs.rank
+        xs = [MPoly.var(n, i) for i in range(1, n + 1)]
+        big = MPoly(n, {(300,) + (0,) * (n - 1): 1})
+        units = [big * (xs[0] - xs[1]),
+                 big * (xs[0] * xs[-1] - MPoly.const(n, 3) * xs[1] * xs[1] + xs[-1]
+                        - MPoly.const(n, 5)),
+                 MPoly(n, {(300, 299) + (0,) * (n - 2): 7, (0, 1) + (1,) * (n - 2): -2})]
+        for unit in units:
+            expected = unit
+            for k in factors:
+                expected = expected * root_linear_form(rs, rs.positive_roots[k])
+            assert unit.degree >= 300
+            assert FactoredPoly(rs, unit, factors).expand() == expected, unit
+
+    def test_expand_reaching_the_limit_raises(self, a3):
+        # a1^(2^15 - 2) * a2^(2^15 - 2) * (a1 + a2) still packs, with
+        # e_1 + e_2 near 2^16 in a row key
+        a1, a12 = a3.index_of_b[(1, 0, 0)], a3.index_of_b[(1, 1, 0)]
+        edge = MPoly(3, {(polyring.LIMIT - 2, polyring.LIMIT - 2, 0): 1})
+        expected = edge * root_linear_form(a3, a3.positive_roots[a12])
+        assert FactoredPoly(a3, edge, (a12,)).expand() == expected
+        with pytest.raises(polyring.PolyError):
+            FactoredPoly(a3, edge, (a12, a12)).expand()
+        with pytest.raises(polyring.PolyError):
+            FactoredPoly(a3, MPoly(3, {(polyring.LIMIT - 1, 0, 0): 1}), (a1,)).expand()
+
     def test_expand_with_cancellation(self, a3):
         # (a2 + a3 - a1)(a1 + a2 + a3): the a1 a2 and a1 a3 terms cancel
         x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
@@ -489,3 +520,24 @@ class TestRender:
         assert lines[1].startswith("1 :")
         assert lines[2].startswith("2 :")
         assert lines[3].startswith("1 2 :")
+
+
+def test_hot_paths_read_no_tuple_view(monkeypatch, a3, a4, e6, e6_natural):
+    """The fold, certification, expansion and the property suite run on
+    packed monomials alone: they pass with MPoly.terms raising."""
+    from kkweyl.analysis import certify_distinct, is_good_pair
+    from kkweyl.rootsys import SimpleOrder
+
+    def no_view(self):
+        raise AssertionError("MPoly.terms read on a hot path")
+
+    monkeypatch.setattr(MPoly, "terms", property(no_view))
+    rs = build_e_system("E6")
+    assert not NilHeckeEngine(rs).x_w(longest_word(rs)[:18]).is_zero()
+    cert = is_good_pair(from_word(e6, (1, 2, 3, 1)), from_word(e6, (1, 2, 4, 2)),
+                        e6, e6_natural)
+    assert certify_distinct(cert, NilHeckeEngine(e6)).direct_inequality is True
+    w = from_word(a4, (1, 2, 3, 4, 1, 2, 3))
+    assert NilHeckeEngine(a4).kk_poly(w, expand=True).d_w.degree == 10 - w.length
+    results = verify.run_suite(a3, SimpleOrder((1, 2, 3), 1), None)
+    assert all(r.failed == 0 and r.passed > 0 for r in results)

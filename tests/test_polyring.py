@@ -9,7 +9,7 @@ from kkweyl.polyring import (
     weyl_act_poly, weyl_act_ratfn,
     ratfn_zero, ratfn_const, ratfn_from_poly, ratfn_normalize, ratfn_add,
     ratfn_mul, ratfn_mul_root_inverse, ratfn_neg, ratfn_scale,
-    _cancel, _root_data, P,
+    _cancel, _root_data, P, LIMIT,
 )
 from kkweyl import polyring, weyl
 from kkweyl.cli import build_system
@@ -442,7 +442,7 @@ class TestCancelPreTest:
         nonzero = polyring._nonzero_mod_p
 
         def recorded(p, values):
-            evaluated.setdefault(id(values), set()).update(p.terms)
+            evaluated.setdefault(id(values), set()).update(p.packed)
             return nonzero(p, values)
 
         monkeypatch.setattr(polyring, "_nonzero_mod_p", recorded)
@@ -454,10 +454,11 @@ class TestCancelPreTest:
                 continue
             assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
             assert _cancel(e6, form * q, (k, k), (k,)) == RatFn(e6, q, (k,))
-            # the memo holds the monomials evaluated, each at its value mod P
+            # the memo holds the packed monomials evaluated, each at its value mod P
             values = _root_data(e6, k)[1]
-            assert set(values) == evaluated[id(values)] >= set((form * q).terms)
-            for e, v in values.items():
+            assert set(values) == evaluated[id(values)] >= set((form * q).packed)
+            for m, v in values.items():
+                e = [m >> 16 * i & 0xFFFF for i in range(6)]
                 assert v == math.prod(pow(x, d, P) for x, d in zip(values.point, e)) % P
 
     def test_fraction_numerator_takes_the_exact_path(self, e6, monkeypatch):
@@ -496,3 +497,122 @@ class TestCancelPreTest:
             cancels += len(got.den) < len(den)
             kept += bool(got.den)
         assert cancels >= 50 and kept >= 50
+
+
+class TestPackedMonomials:
+    """Each monomial is one int with a 16-bit field per variable; every
+    exponent is below LIMIT = 2^15."""
+
+    @pytest.mark.parametrize("key", [(1,), (1, 2, 3), (-1, 0), (0, LIMIT), (2**16, 0)])
+    def test_constructor_rejects_keys_it_cannot_pack(self, key):
+        with pytest.raises(PolyError):
+            MPoly(2, {key: 1})
+        with pytest.raises(PolyError):
+            MPoly(2, {key: 0})
+
+    def test_largest_exponent_packs(self):
+        p = MPoly(2, {(LIMIT - 1, 0): 3, (0, LIMIT - 1): -1})
+        assert p.terms == {(LIMIT - 1, 0): 3, (0, LIMIT - 1): -1}
+        assert p.degree == LIMIT - 1
+
+    @pytest.mark.parametrize("n", [1, 6, 8, 12])
+    def test_round_trip(self, n):
+        rng = random.Random(n)
+        for _ in range(40):
+            terms = {}
+            for _ in range(rng.randrange(1, 12)):
+                e = tuple(rng.choice([0, 1, rng.randrange(LIMIT), LIMIT - 1])
+                          for _ in range(n))
+                terms[e] = rng.choice([rng.randrange(1, 10**30), -7, Fraction(-3, 8)])
+            p = MPoly(n, terms)
+            assert p.terms == terms
+            assert all(p.coefficient(e) == c for e, c in terms.items())
+            assert p.term_count() == len(terms)
+
+    def test_product_reaching_the_limit_raises(self):
+        x1, x2 = MPoly.var(2, 1), MPoly.var(2, 2)
+        half = MPoly(2, {(LIMIT // 2, 0): 1})
+        # one-term operand and merged products
+        with pytest.raises(PolyError):
+            half * half
+        with pytest.raises(PolyError):
+            (half + x2) * (half + x1)
+        with pytest.raises(PolyError):
+            MPoly(2, {(LIMIT - 1, 0): 1}) * (x1 + x2)
+        top = MPoly(2, {(LIMIT // 2 - 1, 0): 1}) * (half + x2)
+        assert top.terms == {(LIMIT - 1, 0): 1, (LIMIT // 2 - 1, 1): 1}
+
+    def test_division_reaching_the_limit_raises(self):
+        # a1 a2^(2^15 - 1) = a2^(2^15 - 1) (a1 + a2) - a2^(2^15)
+        p = MPoly(2, {(1, LIMIT - 1): 1})
+        with pytest.raises(PolyError):
+            divide_by_linear(p, MPoly.var(2, 1) + MPoly.var(2, 2))
+        q, r = divide_by_linear(MPoly(2, {(1, LIMIT - 2): 1}),
+                                MPoly.var(2, 1) + MPoly.var(2, 2))
+        assert q.terms == {(0, LIMIT - 2): 1} and r.terms == {(0, LIMIT - 1): -1}
+
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 0), (-1, 0), (LIMIT, 0), (0, 2**16)])
+    def test_coefficient_of_a_monomial_it_cannot_pack_is_zero(self, key):
+        p = MPoly(2, {(1, 0): 5, (0, 0): 2})
+        assert p.coefficient(key) == 0
+        assert p.coefficient((1, 0)) == 5
+
+    def test_terms_is_a_new_dict_on_each_read(self):
+        p = MPoly(3, {(1, 0, 2): 4})
+        view = p.terms
+        assert view is not p.terms
+        view[(0, 0, 0)] = 1
+        assert p.terms == {(1, 0, 2): 4}
+        assert MPoly.__slots__ == ("n", "packed")
+
+
+def tuple_key_division(p, L):
+    """Division by a linear form by top-down elimination on exponent tuples,
+    independent of the packed layout."""
+    terms = L.terms
+    j = min(k.index(1) for k in terms)
+    c0 = terms[tuple(1 if i == j else 0 for i in range(L.n))]
+    rest = [(k.index(1), c) for k, c in terms.items() if k.index(1) != j]
+    buckets = {}
+    for k, c in p.terms.items():
+        buckets.setdefault(k[j], {})[k] = c
+    q = {}
+    for d in range(max(buckets, default=0), 0, -1):
+        below = buckets.setdefault(d - 1, {})
+        for k, c in buckets.get(d, {}).items():
+            t = Fraction(c) / c0
+            t = int(t) if t.denominator == 1 else t
+            kq = k[:j] + (d - 1,) + k[j + 1:]
+            q[kq] = t
+            for i, ci in rest:
+                k2 = list(kq)
+                k2[i] += 1
+                k2 = tuple(k2)
+                below[k2] = below.get(k2, 0) - t * ci
+    return ({k: c for k, c in q.items() if c},
+            {k: c for k, c in buckets.get(0, {}).items() if c})
+
+
+class TestDivisionOracle:
+    @pytest.mark.parametrize("system", ["e6", "e8"])
+    def test_matches_tuple_key_division(self, request, system):
+        rs = request.getfixturevalue(system)
+        rng = random.Random(43)
+        roots = rs.positive_roots
+        exact = fractions = 0
+        for trial in range(120):
+            L = root_linear_form(rs, rng.choice(roots))
+            p = random_poly(rng, rs.rank, nterms=6, maxdeg=4)
+            for _ in range(rng.randrange(4)):
+                p = p * root_linear_form(rs, rng.choice(roots))
+            if trial % 3 == 0:
+                p = p * L
+            if trial % 5 == 0:
+                p = p.scale(Fraction(1, rng.randrange(2, 6)))
+            if trial % 4 == 0:
+                p = p + random_poly(rng, rs.rank)
+            q, r = divide_by_linear(p, L)
+            assert (q.terms, r.terms) == tuple_key_division(p, L)
+            exact += r.is_zero()
+            fractions += any(isinstance(c, Fraction) for c in q.terms.values())
+        assert 20 <= exact <= 100 and fractions >= 10
