@@ -102,11 +102,10 @@ class GoodPairClauses:
     C1 and its top are built once.  The two facts of one involution w that
     the clauses read are each decided on their first ask and kept per
     element: the meet of its support with C1, whose one root is beta(w), and
-    each Bruhat side s_beta <= w, decided by `bruhat` and kept under beta.b,
-    which hashes faster than a Root (its hash covers the Fraction
-    coordinates); only roots of C1 are asked, so at most candidates x |C1|
-    flags are kept.  A caller checking many pairs makes one object for all
-    of them."""
+    each Bruhat side s_beta <= w, decided by `bruhat` and kept under beta
+    (roots key as values); only roots of C1 are asked, so at most
+    candidates x |C1| flags are kept.  A caller checking many pairs makes
+    one object for all of them."""
 
     def __init__(self, rs: RootSystem, order: SimpleOrder,
                  bruhat: Optional[BruhatOrder] = None):
@@ -114,36 +113,34 @@ class GoodPairClauses:
         self.order = order
         self.bruhat = bruhat or BruhatOrder(rs)
         column = first_column(rs, order)
-        self.c1 = {r.b for r in column}
+        self.c1 = frozenset(column)
         self.top = column[-1] if rs.type_tag == "E8" else None
         self._meets: dict[WeylElt, tuple[Root, ...]] = {}
-        self._sides: dict[WeylElt, dict[tuple[int, ...], bool]] = defaultdict(dict)
+        self._sides: dict[WeylElt, dict[Root, bool]] = defaultdict(dict)
 
     def meet(self, w: WeylElt) -> tuple[Root, ...]:
         """The roots of the support of the involution w that lie in C1."""
         meet = self._meets.get(w)
         if meet is None:
             meet = self._meets[w] = tuple(
-                r for r in weyl.support(w, self.order) if r.b in self.c1)
+                r for r in weyl.support(w, self.order) if r in self.c1)
         return meet
 
     def below(self, beta: Root, w: WeylElt) -> bool:
         """Whether s_beta <= w."""
         known = self._sides[w]
-        side = known.get(beta.b)
+        side = known.get(beta)
         if side is None:
-            side = known[beta.b] = self.bruhat.leq(weyl.reflection(self.rs, beta), w)
+            side = known[beta] = self.bruhat.leq(weyl.reflection(self.rs, beta), w)
         return side
 
     def clauses(self, w1: WeylElt, beta1: Root, w2: WeylElt,
                 beta2: Root) -> GoodPairCertificate:
         """The clauses that follow the C1 meet, for w1 and w2 meeting C1 in
         beta1 and beta2.  Raises NotAGoodPair with the failing clause."""
-        # roots compare by .b: Root's == also compares the eps Fractions
-        if beta1.b == beta2.b:
+        if beta1 == beta2:
             raise NotAGoodPair("beta1 = beta2")
-        top = self.top
-        if top is not None and (beta1.b == top.b or beta2.b == top.b):
+        if self.top is not None and self.top in (beta1, beta2):
             raise NotAGoodPair("a beta is maximal in C1 (excluded for E8)")
         side1 = not self.below(beta1, w2)
         side2 = not self.below(beta2, w1)

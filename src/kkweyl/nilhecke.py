@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .rootsys import RootSystem, direct_sum
+from .rootsys import RootSystem
 from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
@@ -294,10 +294,4 @@ def product_formula_check(rs_sum: RootSystem, w1: WeylElt, w2: WeylElt) -> bool:
     d = NilHeckeEngine(rs_sum).kk_poly(w).d_w
     d1 = NilHeckeEngine(rs1).kk_poly(w1).d_w
     d2 = NilHeckeEngine(rs2).kk_poly(w2).d_w
-    # a packed monomial of rs1 is one of rs_sum as it is; one of rs2 moves
-    # past rs1's fields
-    lifted1 = MPoly.from_packed(rs_sum.rank, d1.packed)
-    lifted2 = MPoly.from_packed(rs_sum.rank, {
-        k << 16 * rs1.rank: c for k, c in d2.packed.items()
-    })
-    return d == lifted1 * lifted2
+    return d == d1.embedded(rs_sum.rank, 0) * d2.embedded(rs_sum.rank, rs1.rank)

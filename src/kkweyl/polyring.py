@@ -6,6 +6,8 @@ packed monomials to coefficients: one int holds the exponent of a_{i+1} in bits
 16i to 16i + 15, each below LIMIT = 2^15 (PolyError past it; E8's N = 120
 bounds every degree the library forms), so a product of monomials is one int
 addition.  MPoly(n, terms) takes exponent tuples; MPoly.terms builds them anew.
+Only this module reads or forms a packed key; another module places a
+polynomial among more variables through MPoly.embedded.
 Coefficients are Python ints wherever possible and Fractions otherwise; both
 compare and hash consistently, so mixed dicts stay canonical.
 
@@ -116,6 +118,12 @@ class MPoly:
         p = cls.__new__(cls)
         p.n, p.packed = n, packed
         return p
+
+    def embedded(self, n: int, offset: int) -> "MPoly":
+        """The same polynomial in n variables, with a_i renamed a_{offset+i}."""
+        if not 0 <= offset <= n - self.n:
+            raise PolyError(f"{self.n} variables at offset {offset} do not fit in {n}")
+        return MPoly.from_packed(n, {k << 16 * offset: c for k, c in self.packed.items()})
 
     @property
     def terms(self) -> dict[tuple[int, ...], Coeff]:

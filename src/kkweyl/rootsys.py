@@ -31,23 +31,34 @@ class RootSystemError(ValueError):
     """Invalid construction input or corrupted root data."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Root:
     """A root, stored as integer coefficients over the simple roots.
 
+    A root is its coefficient vector: equality and hash read `b` alone.
     `eps` carries the ambient epsilon-coordinates when the system has an
     explicit embedding (the E types); it is None for Cartan-matrix test systems.
     """
     b: tuple[int, ...]
     eps: Optional[tuple[Rat, ...]]
-    positive: bool
 
     def negated(self) -> "Root":
         return Root(
             tuple(-x for x in self.b),
             None if self.eps is None else tuple(-x for x in self.eps),
-            not self.positive,
         )
+
+    # not generated: the dataclass pair would build the tuple (b,) on every call
+    def __eq__(self, other):
+        return isinstance(other, Root) and self.b == other.b
+
+    def __hash__(self):
+        return hash(self.b)
+
+    @property
+    def positive(self) -> bool:
+        # a root's coefficients share one sign
+        return max(self.b) > 0
 
     @property
     def height(self) -> int:
@@ -123,7 +134,7 @@ class RootSystem:
         images = _close_positive(cartan)
         pos_b = sorted(images, key=lambda b: (sum(b), b))
         self.positive_roots: tuple[Root, ...] = tuple(
-            Root(b, eps, True) for b, eps in zip(pos_b, _root_eps(simple_eps, pos_b))
+            Root(b, eps) for b, eps in zip(pos_b, _root_eps(simple_eps, pos_b))
         )
         self.index_of_b: dict[tuple[int, ...], int] = {
             r.b: k for k, r in enumerate(self.positive_roots)
@@ -137,7 +148,7 @@ class RootSystem:
         )
         # reflection_table[i][k] = signed 1-based index of s_{alpha_{i+1}}(pos_k)
         self.reflection_table: tuple[tuple[int, ...], ...] = tuple(
-            tuple(self._signed_index(images[r.b][i]) for r in self.positive_roots)
+            tuple(self.signed_index(images[r.b][i]) for r in self.positive_roots)
             for i in range(self.rank)
         )
         # right_steps[i] = (slot of alpha_{i+1}, getter reading a signed
@@ -163,7 +174,8 @@ class RootSystem:
                 total += ai * sum(row[j] * bj for j, bj in enumerate(b.b) if bj)
         return total
 
-    def _signed_index(self, b: tuple[int, ...]) -> int:
+    def signed_index(self, b: tuple[int, ...]) -> int:
+        """k + 1 when b is positive root k, -(k + 1) when b is its negation."""
         k = self.index_of_b.get(b)
         if k is not None:
             return k + 1
@@ -173,7 +185,7 @@ class RootSystem:
         raise RootSystemError(f"vector {b} is not a root")
 
     def root_from_b(self, b: Sequence[int]) -> Root:
-        return self.root_at(self._signed_index(tuple(b)))
+        return self.root_at(self.signed_index(tuple(b)))
 
     def root_at(self, signed_index: int) -> Root:
         """Root for a signed 1-based positive-root index."""
@@ -293,11 +305,8 @@ def direct_sum(rs1: RootSystem, rs2: RootSystem) -> RootSystem:
 
 def lex_compare(order: SimpleOrder, a: Root, b: Root) -> int:
     """Compare two roots by their coefficients read in the given order."""
-    for i in order.perm:
-        ai, bi = a.b[i - 1], b.b[i - 1]
-        if ai != bi:
-            return LT if ai < bi else GT
-    return EQ
+    ka, kb = lex_key(order, a), lex_key(order, b)
+    return EQ if ka == kb else LT if ka < kb else GT
 
 
 def lex_key(order: SimpleOrder, root: Root) -> tuple[int, ...]:

@@ -102,14 +102,13 @@ def draw_cases(elements: list[WeylElt], blocks: list[tuple],
 
 
 def check_product_law(engine: NilHeckeEngine, max_len: int,
-                      sample: Optional[int] = None,
-                      seed: int = 0) -> VerifyResult:
+                      sample: Optional[int] = None) -> VerifyResult:
     """Eq: x_v * x_w = x_{vw} when lengths add, 0 otherwise."""
     res = VerifyResult("product_law_2a")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
     blocks = product_blocks(elements, max_len)
-    for (v,), w in draw_cases(elements, blocks, sample, seed):
+    for (v,), w in draw_cases(elements, blocks, sample, seed=0):
         prod = engine.nh_mul(engine.x_of(v), engine.x_of(w))
         vw = weyl.multiply(v, w)
         if vw.length == v.length + w.length:
@@ -121,13 +120,13 @@ def check_product_law(engine: NilHeckeEngine, max_len: int,
 
 
 def check_recursions(engine: NilHeckeEngine, max_len: int,
-                     sample: Optional[int] = None, seed: int = 1) -> VerifyResult:
+                     sample: Optional[int] = None) -> VerifyResult:
     """Coefficient recursions over descents, both sided variants."""
     res = VerifyResult("recursions_2b_2c")
     rs = engine.rs
     elements = list(weyl.enumerate_elements(rs, max_len))
     blocks = recursion_blocks(elements, rs.rank)
-    for (w, i, right, left), v in draw_cases(elements, blocks, sample, seed):
+    for (w, i, right, left), v in draw_cases(elements, blocks, sample, seed=1):
         ok = True
         if right:
             ok = ok and engine.recursion_check_b(w, v, i)
@@ -184,7 +183,7 @@ def check_supp_bruhat(rs: RootSystem, order: SimpleOrder, max_len: int) -> Verif
     res = VerifyResult("support_containment_bruhat")
     bruhat = weyl.BruhatOrder(rs)
     invols = list(weyl.enumerate_involutions(rs, max_len))
-    supports = [frozenset(r.b for r in weyl.support(w, order)) for w in invols]
+    supports = [frozenset(weyl.support(w, order)) for w in invols]
     for a, w1 in enumerate(invols):
         for b, w2 in enumerate(invols):
             if a != b and supports[a] < supports[b]:
@@ -192,7 +191,7 @@ def check_supp_bruhat(rs: RootSystem, order: SimpleOrder, max_len: int) -> Verif
     return res
 
 
-def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
+def check_product_formula() -> VerifyResult:
     """Direct-sum product rule on A1+A1 (all involutions) and A2+A1 (sampled)."""
     res = VerifyResult("direct_sum_product_formula")
     a1 = build_from_cartan([[2]])
@@ -205,9 +204,8 @@ def check_product_formula(seed: int = 2, samples: int = 20) -> VerifyResult:
     sum21 = direct_sum(a2, a1)
     e2 = list(weyl.enumerate_elements(a2, 3))
     e1 = list(weyl.enumerate_elements(a1, 1))
-    rng = random.Random(seed)
     pairs = [(w1, w2) for w1 in e2 for w2 in e1]
-    for w1, w2 in rng.choices(pairs, k=samples):
+    for w1, w2 in random.Random(2).choices(pairs, k=20):
         ok = product_formula_check(sum21, w1, w2)
         res.record(ok, sum="A2+A1", w1=w1, w2=w2)
     return res

@@ -120,14 +120,9 @@ def inverse(a: WeylElt) -> WeylElt:
 
 
 def act_on_root(w: WeylElt, root: Root) -> Root:
-    rs = w.rs
-    k = rs.index_of_b.get(root.b)
-    if k is not None:
-        return rs.root_at(w.perm[k])
-    k = rs.index_of_b.get(tuple(-x for x in root.b))
-    if k is None:
-        raise WeylError(f"{root.b} is not a root of this system")
-    return rs.root_at(-w.perm[k])
+    """w(root); RootSystemError when root.b is no root of w's system."""
+    x = w.rs.signed_index(root.b)
+    return w.rs.root_at(w.perm[x - 1] if x > 0 else -w.perm[-x - 1])
 
 
 def act_on_simple(w: WeylElt, i: int) -> int:
@@ -163,13 +158,11 @@ def reduced_word(w: WeylElt) -> Word:
 def reflection(rs: RootSystem, beta: Root) -> WeylElt:
     """The reflection s_beta for a positive root beta: the element memoised
     on rs, so what it caches, its length among them, is computed once per
-    system."""
-    if not beta.positive:
+    system.  WeylError for a negative root, RootSystemError for no root."""
+    x = rs.signed_index(beta.b)
+    if x < 0:
         raise WeylError("reflection expects a positive root")
-    k = rs.index_of_b.get(beta.b)
-    if k is None:
-        raise WeylError(f"{beta.b} is not a root of this system")
-    return _reflection(rs, k)
+    return _reflection(rs, x - 1)
 
 
 def _reflection(rs: RootSystem, k: int) -> WeylElt:

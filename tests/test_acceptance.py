@@ -307,7 +307,7 @@ def test_criterion_8_good_pairs_distinct(e6, e6_natural, e6_engine):
 
 
 def test_criterion_9_product_formula():
-    res = check_product_formula(samples=20)
+    res = check_product_formula()
     assert res.failed == 0
     assert res.passed == 4 + 20   # all A1+A1 involution pairs, 20 A2+A1 samples
     report("ACCEPTANCE 9: PASS - direct-sum product formula on all A1+A1 "

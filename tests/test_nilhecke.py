@@ -300,6 +300,18 @@ class TestKKPoly:
         res = a2_engine.kk_poly(from_word(a2, (1, 2, 1)))
         assert res.d_w == MPoly.const(2, 1)
 
+    def test_degree_of_factored_d_w_on_e6_involutions(self, e6):
+        # d_w is homogeneous of degree N - l(w) (N = 36 positive roots): the
+        # unit is homogeneous and its degree and the root factors add up to it
+        engine = NilHeckeEngine(e6)
+        invols = list(weyl.enumerate_involutions(e6, 10))
+        assert len(invols) == 191
+        for w in invols:
+            fp = engine.kk_poly(w, expand=False).d_factored
+            degrees = {sum(e) for e in fp.unit.terms}
+            assert len(degrees) == 1
+            assert degrees.pop() + len(fp.root_factors) == 36 - w.length
+
 
 def a3_factored(a3, c, unit_roots, factors):
     """c * prod(unit_roots) as the unit, times the root factors; the positive

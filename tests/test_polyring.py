@@ -566,6 +566,25 @@ class TestPackedMonomials:
         assert MPoly.__slots__ == ("n", "packed")
 
 
+class TestEmbedded:
+    """MPoly.embedded(n, offset) renames a_i to a_{offset+i} among n variables."""
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 3), (2, 3), (3, 8), (6, 12)])
+    def test_matches_the_tuple_keyed_constructor(self, m, n):
+        rng = random.Random(m * 100 + n)
+        for offset in range(n - m + 1):   # offset 0 through the last variable
+            for _ in range(10):
+                p = random_poly(rng, m, nterms=rng.randrange(0, 8), maxdeg=LIMIT)
+                expected = MPoly(n, {(0,) * offset + e + (0,) * (n - m - offset): c
+                                     for e, c in p.terms.items()})
+                assert p.embedded(n, offset) == expected
+
+    @pytest.mark.parametrize("n, offset", [(3, 2), (3, -1), (1, 0), (4, 3)])
+    def test_offset_that_does_not_fit_rejected(self, n, offset):
+        with pytest.raises(PolyError):
+            MPoly(2, {(1, 1): 1}).embedded(n, offset)
+
+
 def tuple_key_division(p, L):
     """Division by a linear form by top-down elimination on exponent tuples,
     independent of the packed layout."""

@@ -6,7 +6,7 @@ import pytest
 
 from kkweyl import rootsys
 from kkweyl.rootsys import (
-    LT, EQ, GT, RootSystemError, SimpleOrder,
+    LT, EQ, GT, Root, RootSystemError, SimpleOrder,
     build_e_system, build_from_cartan, direct_sum,
     lex_compare, lex_key, first_column, reflect, named_order,
 )
@@ -296,6 +296,23 @@ class TestReflect:
                     assert not img.positive
                 else:
                     assert img.positive
+
+
+class TestRootIdentity:
+    """A root is its coefficient vector: eps takes no part in == and hash,
+    and the sign is read off b."""
+
+    @pytest.mark.parametrize("type_tag", ["E6", "E7", "E8"])
+    def test_value_and_sign_are_read_off_b(self, type_tag):
+        rs = build_e_system(type_tag)
+        for root in rs.positive_roots:
+            assert root != root.negated()
+            for r, sign in ((root, 1), (root.negated(), -1)):
+                assert r.positive == (sign > 0)
+                assert all(x * sign >= 0 for x in r.b)
+                bare = Root(r.b, None)
+                assert bare == r and hash(bare) == hash(r)
+                assert bare.positive == r.positive
 
 
 class TestSimpleOrder:

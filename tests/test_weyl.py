@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from kkweyl.rootsys import SimpleOrder, build_e_system, lex_key, named_order, reflect
+from kkweyl.rootsys import (
+    Root, RootSystemError, SimpleOrder, build_e_system, lex_key, named_order, reflect,
+)
 from kkweyl import weyl
 from kkweyl.nilhecke import NilHeckeEngine
 from kkweyl.weyl import (
@@ -101,7 +103,7 @@ def dot_product_reflection(rs, beta):
     perm = []
     for j, r in enumerate(rs.positive_roots):
         c = sum(a * b for a, b in zip(r.b, c_beta))
-        perm.append(rs._signed_index(tuple(g - c * bb for g, bb in zip(r.b, beta.b)))
+        perm.append(rs.signed_index(tuple(g - c * bb for g, bb in zip(r.b, beta.b)))
                     if c else j + 1)
     return tuple(perm)
 
@@ -512,6 +514,16 @@ class TestReflection:
     def test_negative_root_rejected(self, e6):
         with pytest.raises(WeylError):
             reflection(e6, e6.positive_roots[3].negated())
+
+    @pytest.mark.parametrize("b", [(0,) * 6, (1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0),
+                                   (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, 0)])
+    def test_vector_that_is_no_root_rejected(self, e6, b):
+        # alpha_1 + alpha_2 is no root: nodes 1 and 2 are not joined in E6
+        w = from_word(e6, (1, 3, 4))
+        with pytest.raises(RootSystemError):
+            reflection(e6, Root(b, None))
+        with pytest.raises(RootSystemError):
+            act_on_root(w, Root(b, None))
 
 
 class TestSupport:
