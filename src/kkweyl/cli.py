@@ -259,10 +259,13 @@ def cmd_good_pairs(args) -> int:
     order = resolve_order(rs, args.type, args.order)
     engine = NilHeckeEngine(rs, term_budget=args.term_budget)
     if args.recheck:
-        bad = n = 0
+        bad = count = 0
         check = record_checker(rs, order, engine)
         with open(args.recheck, "rb") as fh:
-            for n, line in enumerate(filter(bytes.strip, fh), 1):
+            for n, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                count += 1
                 try:
                     ok = check(json.loads(line.decode()))
                 except (ValueError, KeyError, TypeError, RecursionError):
@@ -274,7 +277,7 @@ def cmd_good_pairs(args) -> int:
                     bad += 1
                     text = line.decode(errors="replace").strip()
                     print(f"FAIL line {n}: {_clip(text)}", file=sys.stderr)
-        print(f"rechecked {n} certificates, {bad} failures")
+        print(f"rechecked {count} certificates, {bad} failures")
         return EX_OK if bad == 0 else EX_PROPERTY
     count = 0
     with open(args.output, "w") if args.output else nullcontext(sys.stdout) as out:

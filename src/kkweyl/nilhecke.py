@@ -15,8 +15,7 @@ from . import weyl
 from .weyl import WeylElt, Word, BruhatOrder
 from .polyring import (
     BudgetExceeded, FactoredPoly, MPoly, RatFn, ratfn_zero, ratfn_const,
-    ratfn_add, ratfn_neg, ratfn_mul, ratfn_mul_root_inverse, ratfn_scale,
-    weyl_act_ratfn,
+    ratfn_add, ratfn_neg, ratfn_mul, ratfn_mul_root_inverse, weyl_act_ratfn,
 )
 
 DEFAULT_TERM_BUDGET = 2_000_000
@@ -55,14 +54,6 @@ class NHElt:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def render(self) -> str:
-        rows = [(w.length, weyl.reduced_word(w), f) for w, f in self.coeffs]
-        rows.sort(key=lambda r: (r[0], r[1]))
-        return "\n".join(
-            f"{' '.join(str(i) for i in word) or 'id'} : {f.render()}"
-            for _, word, f in rows
-        )
 
 
 @dataclass(init=False)
@@ -215,8 +206,8 @@ class NilHeckeEngine:
             go(pos + 1, nxt, ratfn_mul_root_inverse(acc, weyl.act_on_simple(nxt, i)))
 
         go(0, weyl.identity(rs), one)
-        sign = -1 if len(word) % 2 else 1
-        return {v: ratfn_scale(f, sign) for v, f in sums.items() if not f.is_zero()}
+        return {v: ratfn_neg(f) if len(word) % 2 else f
+                for v, f in sums.items() if not f.is_zero()}
 
     # -- Kostant-Kumar polynomial -----------------------------------------------------
 
@@ -232,8 +223,8 @@ class NilHeckeEngine:
             raise NilHeckeError(
                 f"residual denominator with multiplicity: {c.den}; arithmetic bug")
         remaining = [k for k in range(len(self.rs.positive_roots)) if k not in den]
-        sign = -1 if w.length % 2 else 1
-        factored = FactoredPoly(self.rs, c.num.scale(sign), tuple(remaining))
+        unit = -c.num if w.length % 2 else c.num
+        factored = FactoredPoly(self.rs, unit, tuple(remaining))
         result = KKResult(w, c, factored, self.term_budget)
         if expand:
             result.d_w  # expands within the budget, once

@@ -221,13 +221,6 @@ class MPoly:
             raise PolyError(f"a product exponent reaches {LIMIT}")
         return MPoly.from_packed(self.n, out)
 
-    def scale(self, c) -> "MPoly":
-        c = _norm_coeff(c)
-        if not c:
-            return MPoly.zero(self.n)
-        return MPoly.from_packed(
-            self.n, {k: _norm_coeff(v * c) for k, v in self.packed.items()})
-
     @property
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -244,7 +237,7 @@ class MPoly:
 
     # -- rendering ---------------------------------------------------------------
 
-    def render(self, varname: str = "a") -> str:
+    def render(self) -> str:
         terms = self.terms
         if not terms:
             return "0"
@@ -252,7 +245,7 @@ class MPoly:
         for k in sorted(terms, key=lambda e: (-sum(e), tuple(-x for x in e))):
             c = terms[k]
             mono = "*".join(
-                f"{varname}{i + 1}" + (f"^{e}" if e > 1 else "")
+                f"a{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(k) if e
             )
             cf = _render_coeff(c)
@@ -454,10 +447,6 @@ def ratfn_const(rs: RootSystem, c) -> RatFn:
     return RatFn(rs, MPoly.const(rs.rank, c), ())
 
 
-def ratfn_from_poly(rs: RootSystem, p: MPoly) -> RatFn:
-    return RatFn(rs, p, ())
-
-
 def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
     """num / den with each candidate root cancelled as often as it divides; as
     roots are pairwise non-associate primes, one pass over them suffices.  A
@@ -518,10 +507,6 @@ def ratfn_mul(f: RatFn, g: RatFn) -> RatFn:
     if f.rs is not g.rs:
         raise PolyError("mixed root systems")
     return _cancel(f.rs, f.num * g.num, f.den + g.den, set(f.den) ^ set(g.den))
-
-
-def ratfn_scale(f: RatFn, c) -> RatFn:
-    return _cancel(f.rs, f.num.scale(c), f.den, ())
 
 
 def ratfn_mul_root_inverse(f: RatFn, signed_index: int) -> RatFn:

@@ -22,10 +22,6 @@ from fractions import Fraction
 from operator import itemgetter, mul
 from typing import Optional, Sequence
 
-Rat = Fraction
-
-LT, EQ, GT = -1, 0, 1
-
 
 class RootSystemError(ValueError):
     """Invalid construction input or corrupted root data."""
@@ -40,13 +36,7 @@ class Root:
     explicit embedding (the E types); it is None for Cartan-matrix test systems.
     """
     b: tuple[int, ...]
-    eps: Optional[tuple[Rat, ...]]
-
-    def negated(self) -> "Root":
-        return Root(
-            tuple(-x for x in self.b),
-            None if self.eps is None else tuple(-x for x in self.eps),
-        )
+    eps: Optional[tuple[Fraction, ...]]
 
     # not generated: the dataclass pair would build the tuple (b,) on every call
     def __eq__(self, other):
@@ -54,11 +44,6 @@ class Root:
 
     def __hash__(self):
         return hash(self.b)
-
-    @property
-    def positive(self) -> bool:
-        # a root's coefficients share one sign
-        return max(self.b) > 0
 
     @property
     def height(self) -> int:
@@ -103,7 +88,7 @@ def default_order_name(type_tag: str) -> str:
     return "natural" if type_tag == "E6" else "standard"
 
 
-def _e8_simple_eps() -> list[tuple[Rat, ...]]:
+def _e8_simple_eps() -> list[tuple[Fraction, ...]]:
     h = Fraction(1, 2)
     alpha1 = (h, -h, -h, -h, -h, -h, -h, h)
     out = [alpha1, (1, 1, 0, 0, 0, 0, 0, 0)]
@@ -126,7 +111,7 @@ class RootSystem:
     """Simply-laced root system with an indexed, ordered set of positive roots."""
 
     def __init__(self, type_tag: str, cartan: tuple[tuple[int, ...], ...],
-                 simple_eps: Optional[list[tuple[Rat, ...]]]):
+                 simple_eps: Optional[list[tuple[Fraction, ...]]]):
         self.type_tag = type_tag
         self.cartan = cartan
         self.rank = len(cartan)
@@ -183,15 +168,6 @@ class RootSystem:
         if k is not None:
             return -(k + 1)
         raise RootSystemError(f"vector {b} is not a root")
-
-    def root_from_b(self, b: Sequence[int]) -> Root:
-        return self.root_at(self.signed_index(tuple(b)))
-
-    def root_at(self, signed_index: int) -> Root:
-        """Root for a signed 1-based positive-root index."""
-        if signed_index > 0:
-            return self.positive_roots[signed_index - 1]
-        return self.positive_roots[-signed_index - 1].negated()
 
 
 def _unit(n: int, i: int) -> tuple[int, ...]:
@@ -251,7 +227,7 @@ def _scaled(vectors) -> tuple[int, list[tuple[int, ...]]]:
     return d, [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors]
 
 
-def _root_eps(simple_eps, pos_b) -> list[Optional[tuple[Rat, ...]]]:
+def _root_eps(simple_eps, pos_b) -> list[Optional[tuple[Fraction, ...]]]:
     """Each root's eps, or None for every root of a system without them."""
     if simple_eps is None:
         return [None] * len(pos_b)
@@ -303,12 +279,6 @@ def direct_sum(rs1: RootSystem, rs2: RootSystem) -> RootSystem:
     return RootSystem(f"{rs1.type_tag}+{rs2.type_tag}", cartan, eps)
 
 
-def lex_compare(order: SimpleOrder, a: Root, b: Root) -> int:
-    """Compare two roots by their coefficients read in the given order."""
-    ka, kb = lex_key(order, a), lex_key(order, b)
-    return EQ if ka == kb else LT if ka < kb else GT
-
-
 def lex_key(order: SimpleOrder, root: Root) -> tuple[int, ...]:
     return tuple(root.b[i - 1] for i in order.perm)
 
@@ -321,11 +291,3 @@ def first_column(rs: RootSystem, order: SimpleOrder) -> list[Root]:
     rows.sort(key=lambda r: (r.height, lex_key(order, r)))
     return rows
 
-
-def reflect(rs: RootSystem, beta: Root, gamma: Root) -> Root:
-    """Image of gamma under the reflection in beta."""
-    c = rs.inner(gamma, beta)  # 2(gamma,beta)/(beta,beta) since (beta,beta)=2
-    if not c:
-        return gamma
-    b = tuple(g - c * bb for g, bb in zip(gamma.b, beta.b))
-    return rs.root_from_b(b)

@@ -119,12 +119,6 @@ def inverse(a: WeylElt) -> WeylElt:
     return WeylElt(a.rs, tuple(out))
 
 
-def act_on_root(w: WeylElt, root: Root) -> Root:
-    """w(root); RootSystemError when root.b is no root of w's system."""
-    x = w.rs.signed_index(root.b)
-    return w.rs.root_at(w.perm[x - 1] if x > 0 else -w.perm[-x - 1])
-
-
 def act_on_simple(w: WeylElt, i: int) -> int:
     """Signed positive-root index of w(alpha_i), i 1-based."""
     return w.perm[w.rs.simple_index[i - 1]]

@@ -226,6 +226,18 @@ class TestGoodPairs:
         # the echo of a bad line is clipped, however long the line
         assert len(err) < 400
 
+    def test_recheck_reports_file_line_numbers(self, tmp_path, capsys):
+        # blank lines are skipped but still counted in a failure's line number
+        good = json.dumps(self.GOOD_RECORD).encode()
+        bad = json.dumps({**self.GOOD_RECORD, "note": "extra"}).encode()
+        path = tmp_path / "gaps.jsonl"
+        path.write_bytes(b"\n\n" + bad + b"\n\n" + good + b"\n" + bad + b"\n")
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert [line.split(":")[0] for line in err.splitlines()] == \
+            ["FAIL line 3", "FAIL line 6"]
+        assert "rechecked 3 certificates, 2 failures" in out
+
     def test_recheck_streams_its_input(self, tmp_path, capsys):
         # the records are read one line at a time: the peak does not grow
         # with the number of copies of a record file (the first one-copy run
