@@ -163,11 +163,8 @@ class MPoly:
     def __add__(self, other: "MPoly") -> "MPoly":
         if self.n != other.n:
             raise PolyError("mixed variable counts")
-        a, b = self.packed, other.packed
-        if len(a) < len(b):
-            a, b = b, a
-        out = dict(a)
-        for k, c in b.items():
+        out = dict(self.packed)
+        for k, c in other.packed.items():
             v = out.get(k)
             if v is None:
                 out[k] = c
@@ -188,36 +185,24 @@ class MPoly:
     def __mul__(self, other: "MPoly") -> "MPoly":
         if self.n != other.n:
             raise PolyError("mixed variable counts")
-        a, b = self.packed, other.packed
-        if len(a) < len(b):
-            a, b = b, a
-        high = _layout(self.n)[1]
-        # With every exponent below LIMIT / 2 the product's stay below LIMIT;
-        # otherwise its top bits are tested, as a sum of two exponents below
-        # LIMIT never carries into the next field.
-        near = (_hull(a) | _hull(b)) & high >> 1
-        # b is the smaller operand.  One term of b maps the keys of a one to
-        # one, and nonzero coefficients have a nonzero product, so a single
-        # term needs no merging and no zero test.
-        if len(b) == 1:
-            (kb, cb), = b.items()
-            out = {ka + kb: ca * cb for ka, ca in a.items()}
-        else:
-            out = {}
-            for kb, cb in b.items():
-                for ka, ca in a.items():
-                    k = ka + kb
-                    p = ca * cb
-                    v = out.get(k)
-                    if v is None:
-                        out[k] = p
+        a = self.packed
+        out = {}
+        for kb, cb in other.packed.items():
+            for ka, ca in a.items():
+                k = ka + kb
+                p = ca * cb
+                v = out.get(k)
+                if v is None:
+                    out[k] = p
+                else:
+                    v = v + p
+                    if v:
+                        out[k] = v
                     else:
-                        v = v + p
-                        if v:
-                            out[k] = v
-                        else:
-                            del out[k]
-        if near and _hull(out) & high:
+                        del out[k]
+        # A sum of two exponents below LIMIT never carries into the next
+        # field, so the product's top bits show any exponent that reaches it.
+        if _hull(out) & _layout(self.n)[1]:
             raise PolyError(f"a product exponent reaches {LIMIT}")
         return MPoly.from_packed(self.n, out)
 

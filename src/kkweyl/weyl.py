@@ -44,9 +44,6 @@ class WeylElt:
     def __repr__(self):
         return f"WeylElt(perm={self.perm!r})"
 
-    def __mul__(self, other: "WeylElt") -> "WeylElt":
-        return multiply(self, other)
-
     @property
     def length(self) -> int:
         # Counted once per element and kept in its slot; equality, hash and

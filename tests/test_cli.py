@@ -174,6 +174,30 @@ class TestGoodPairs:
         assert main(["good-pairs", "--type", "E6", "--recheck", str(out)]) == 0
         assert "rechecked 1328 certificates, 0 failures" in capsys.readouterr().out
 
+    def test_term_budget_in_scan_and_recheck(self, tmp_path, capsys):
+        # past the budget a certificate stays symbolic, with the evidence its
+        # sides imply; a recheck recomputes under its own budget, so a computed
+        # record it cannot afford fails
+        symbolic = tmp_path / "symbolic.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "4",
+                     "--term-budget", "0", "--output", str(symbolic)]) == 0
+        records = [json.loads(l) for l in symbolic.read_text().splitlines()]
+        assert len(records) == 55
+        assert all(r["computed"] is False and r["divides_evidence"] for r in records)
+        assert main(["good-pairs", "--type", "E6", "--recheck", str(symbolic)]) == 0
+        assert "rechecked 55 certificates, 0 failures" in capsys.readouterr().out
+
+        computed = tmp_path / "computed.jsonl"
+        assert main(["good-pairs", "--type", "E6", "--max-len", "4",
+                     "--output", str(computed)]) == 0
+        capsys.readouterr()
+        assert main(["good-pairs", "--type", "E6", "--term-budget", "0",
+                     "--recheck", str(computed)]) == 3
+        out, err = capsys.readouterr()
+        assert "rechecked 55 certificates, 55 failures" in out
+        assert [l.split(":")[0] for l in err.splitlines()] == [
+            f"FAIL line {n}" for n in range(1, 56)]
+
     @pytest.mark.parametrize("line", [
         '{"w1": [1], "w2": [1, 3',                                # not JSON
         json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "side1"}),

@@ -59,9 +59,8 @@ class TestPolyArithmetic:
             assert p * (q + r) == p * q + p * r
 
     def test_single_term_factor(self):
-        # one-term factors take a short path; compare it, and the general
-        # path on factors with a constant term, with the product summed term
-        # by term
+        # termwise oracle for one-term factors: their products, and those of
+        # factors with a constant term, equal the product summed term by term
         def termwise(p, q):
             out = MPoly.zero(p.n)
             for ka, ca in p.terms.items():
