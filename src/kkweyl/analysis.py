@@ -246,6 +246,8 @@ def scan_good_pairs(rs: RootSystem, order: SimpleOrder, max_len: int,
             candidates.append((w, meet[0]))
     for a, (w1, beta1) in enumerate(candidates):
         for w2, beta2 in candidates[a + 1:]:
+            if beta1 == beta2:  # the first clause clauses() would fail
+                continue
             try:
                 cert = good.clauses(w1, beta1, w2, beta2)
             except NotAGoodPair:

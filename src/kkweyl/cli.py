@@ -227,7 +227,9 @@ def record_checker(rs: RootSystem, order: SimpleOrder,
     each C1 meet and each Bruhat side decided once; each distinct word is
     mapped to its element once, which keeps the reduced word cert_to_json
     reads, and each d_w computed once, across all records checked.  A
-    malformed record raises ValueError, KeyError or TypeError."""
+    malformed record raises ValueError, KeyError or TypeError; a computed
+    record whose re-derivation exceeds the engine's term budget raises
+    BudgetExceeded, as the check cannot decide it."""
     element = functools.cache(lambda word: weyl.from_word(rs, word))
     good = GoodPairClauses(rs, order, engine.bruhat)
     kk_cache = {}
@@ -237,8 +239,11 @@ def record_checker(rs: RootSystem, order: SimpleOrder,
         fresh = good.check(w1, w2)
         text = json.dumps(rec, sort_keys=True)
         if rec["computed"] is True:
-            return _writes(certify_distinct(fresh, engine, max(w1.length, w2.length),
-                                            kk_cache), text)
+            cert = certify_distinct(fresh, engine, max(w1.length, w2.length), kk_cache)
+            if not cert.computed:
+                raise BudgetExceeded(
+                    f"re-deriving a computed record exceeds budget {engine.term_budget}")
+            return _writes(cert, text)
         return _writes(fresh, text) or _writes(
             replace(fresh, divides_evidence=implied_evidence(fresh)), text)
     return check
@@ -268,10 +273,13 @@ def cmd_good_pairs(args) -> int:
                 count += 1
                 try:
                     ok = check(json.loads(line.decode()))
+                except BudgetExceeded as exc:
+                    # undecided rather than false: main exits EX_BUDGET
+                    raise BudgetExceeded(f"line {n}: {exc}") from None
                 except (ValueError, KeyError, TypeError, RecursionError):
                     # lines that are not UTF-8, unreadable or too deeply nested
                     # JSON, missing keys, bad letters, and AnalysisError /
-                    # NilHeckeError / BudgetExceeded from the recheck itself
+                    # NilHeckeError from the recheck itself
                     ok = False
                 if not ok:
                     bad += 1

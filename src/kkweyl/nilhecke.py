@@ -132,7 +132,8 @@ class NilHeckeEngine:
         for v, f in a.coeffs:
             vs = weyl.multiply_simple(v, i)
             if vs not in out:
-                total = ratfn_add(f, coeffs.get(vs, ratfn_zero(rs)))
+                g = coeffs.get(vs)
+                total = f if g is None else ratfn_add(f, g)
                 out[vs] = ratfn_mul_root_inverse(total, weyl.act_on_simple(v, i))
                 out[v] = ratfn_neg(out[vs])
         elt = NHElt.from_dict(rs, out)

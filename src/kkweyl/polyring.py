@@ -29,7 +29,10 @@ gives.
 
 The numerators of a fold share few monomials, so each root memoises the
 value mod P of every packed monomial it has met at its point a0; an
-evaluation is then one sum of coefficient times memoised value.
+evaluation is then one sum of coefficient times memoised value.  A miss is
+filled from its parent, the monomial without the whole power of its lowest
+variable, times one pow of that coordinate; the parent is memoised on the
+way, so a chain of misses is at most one per variable deep.
 """
 
 from __future__ import annotations
@@ -271,7 +274,7 @@ def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
 
 class _MonomialValues(dict):
     """Packed monomial -> its value mod P at the point a0, each computed on
-    first read."""
+    first read from its parent (module docstring)."""
 
     __slots__ = ("point",)
 
@@ -280,8 +283,13 @@ class _MonomialValues(dict):
         self.point = point
 
     def __missing__(self, k: int) -> int:
-        e = _unpack(len(self.point), k)
-        v = self[k] = math.prod(pow(x, d, P) for x, d in zip(self.point, e)) % P
+        if k:
+            j = ((k & -k).bit_length() - 1) >> 4
+            e = k >> 16 * j & 0xFFFF
+            v = self[k - (e << 16 * j)] * pow(self.point[j], e, P) % P
+        else:
+            v = 1
+        self[k] = v
         return v
 
 
@@ -456,12 +464,32 @@ def ratfn_normalize(f: RatFn) -> RatFn:
     return _cancel(f.rs, f.num, f.den, set(f.den))
 
 
-def _multiset_diff(a: tuple[int, ...], b: tuple[int, ...]) -> list[int]:
-    out = list(a)
-    for x in b:
-        if x in out:
-            out.remove(x)
-    return out
+def _merge(a: Sequence[int], b: Sequence[int]):
+    """For sorted multisets a and b, in one merge: a - b, b - a, the common
+    part (a list, with repeats) and the union, a sorted tuple."""
+    only_a, only_b, both, union = [], [], [], []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        x, y = a[i], b[j]
+        if x < y:
+            only_a.append(x)
+            union.append(x)
+            i += 1
+        elif y < x:
+            only_b.append(y)
+            union.append(y)
+            j += 1
+        else:
+            both.append(x)
+            union.append(x)
+            i += 1
+            j += 1
+    only_a += a[i:]
+    only_b += b[j:]
+    union += a[i:]
+    union += b[j:]
+    return only_a, only_b, both, tuple(union)
 
 
 def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
@@ -474,11 +502,10 @@ def ratfn_add(f: RatFn, g: RatFn) -> RatFn:
         return g
     if g.is_zero():
         return f
-    extra_f = _multiset_diff(g.den, f.den)  # factors f is missing
-    extra_g = _multiset_diff(f.den, g.den)
-    lcm = tuple(sorted(list(f.den) + extra_f))
+    # g.den - f.den are the factors f is missing, and the reverse for g
+    extra_g, extra_f, shared, lcm = _merge(f.den, g.den)
     num = _times_forms(f.rs, f.num, extra_f) + _times_forms(f.rs, g.num, extra_g)
-    return _cancel(f.rs, num, lcm, set(f.den) & set(g.den))
+    return _cancel(f.rs, num, lcm, shared)
 
 
 def ratfn_neg(f: RatFn) -> RatFn:
@@ -616,6 +643,6 @@ class FactoredPoly:
         times their unshared factors are expanded, within `budget`, and compared."""
         if self.rs is not other.rs:
             return False
-        mine, theirs = self.root_factors, other.root_factors
-        return (_times_roots(self.rs, self.unit, _multiset_diff(mine, theirs), budget)
-                == _times_roots(self.rs, other.unit, _multiset_diff(theirs, mine), budget))
+        mine, theirs = _merge(sorted(self.root_factors), sorted(other.root_factors))[:2]
+        return (_times_roots(self.rs, self.unit, mine, budget)
+                == _times_roots(self.rs, other.unit, theirs, budget))

@@ -5,7 +5,7 @@ An element stores, for each positive root index k (0-based), the signed
 of an element is its number of inversions.
 
 `WeylElt` has `__slots__`: `rs`, `perm`, one slot per answer it keeps once
-computed (length, canonical word, involution test) and its signed
+computed (length, canonical word, involution test, hash) and its signed
 table `(0,) + perm + (negated perm, reversed)`, built when it is first the
 left operand of `multiply`.  The table maps a signed index x to a(x) (a
 negative x reads from the end), so a*b is one `itemgetter` read of a's table
@@ -26,17 +26,21 @@ class WeylError(ValueError):
 
 
 class WeylElt:
-    __slots__ = ("rs", "perm", "_length", "_word", "_is_involution", "_table")
+    __slots__ = ("rs", "perm", "_length", "_word", "_is_involution", "_table", "_hash")
 
     def __init__(self, rs: RootSystem, perm: tuple[int, ...],
                  length: int | None = None):
         self.rs = rs
         self.perm = perm
         self._length = length
-        self._word = self._is_involution = self._table = None
+        self._word = self._is_involution = self._table = self._hash = None
 
     def __hash__(self):
-        return hash(self.perm)
+        # hash(perm), taken once and kept in its slot as `length` is
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.perm)
+        return h
 
     def __eq__(self, other):
         return isinstance(other, WeylElt) and self.perm == other.perm

@@ -176,8 +176,8 @@ class TestGoodPairs:
 
     def test_term_budget_in_scan_and_recheck(self, tmp_path, capsys):
         # past the budget a certificate stays symbolic, with the evidence its
-        # sides imply; a recheck recomputes under its own budget, so a computed
-        # record it cannot afford fails
+        # sides imply; a recheck recomputes under its own budget, and stops at
+        # the first computed record it cannot afford with the budget's exit
         symbolic = tmp_path / "symbolic.jsonl"
         assert main(["good-pairs", "--type", "E6", "--max-len", "4",
                      "--term-budget", "0", "--output", str(symbolic)]) == 0
@@ -192,11 +192,11 @@ class TestGoodPairs:
                      "--output", str(computed)]) == 0
         capsys.readouterr()
         assert main(["good-pairs", "--type", "E6", "--term-budget", "0",
-                     "--recheck", str(computed)]) == 3
+                     "--recheck", str(computed)]) == 69
         out, err = capsys.readouterr()
-        assert "rechecked 55 certificates, 55 failures" in out
-        assert [l.split(":")[0] for l in err.splitlines()] == [
-            f"FAIL line {n}" for n in range(1, 56)]
+        assert out == ""
+        assert err == ("error: term budget exceeded: line 1: re-deriving a computed"
+                       " record exceeds budget 0\n")
 
     @pytest.mark.parametrize("line", [
         '{"w1": [1], "w2": [1, 3',                                # not JSON

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -448,12 +449,31 @@ class TestCancelPreTest:
                 continue
             assert _cancel(e6, form * q, (k,), (k,)) == RatFn(e6, q, ())
             assert _cancel(e6, form * q, (k, k), (k,)) == RatFn(e6, q, (k,))
-            # the memo holds the packed monomials evaluated, each at its value mod P
+            # the memo holds the packed monomials evaluated and their parents,
+            # each at its value mod P
             values = _root_data(e6, k)[1]
-            assert set(values) == evaluated[id(values)] >= set((form * q).packed)
+            assert set(values) >= evaluated[id(values)] >= set((form * q).packed)
             for m, v in values.items():
                 e = [m >> 16 * i & 0xFFFF for i in range(6)]
                 assert v == math.prod(pow(x, d, P) for x, d in zip(values.point, e)) % P
+
+    def test_memo_at_extreme_exponents(self, e8):
+        # a miss is filled from the monomial without its lowest variable's
+        # whole power, so a chain of misses is at most 8 deep at any exponent
+        rng = random.Random(43)
+        for k in rng.sample(range(len(e8.positive_roots)), 6):
+            point = _root_data(e8, k)[1].point
+            values = polyring._MonomialValues(point)
+            for _ in range(5):
+                e = [rng.choice([0, 1, rng.randrange(LIMIT)]) for _ in range(8)]
+                e[rng.randrange(8)] = LIMIT - 1
+                (key,) = MPoly(8, {tuple(e): 1}).packed
+                assert values[key] == math.prod(
+                    pow(x, d, P) for x, d in zip(point, e)) % P
+            assert len(values) <= 5 * 8 + 1
+            for m, v in values.items():
+                e = [m >> 16 * i & 0xFFFF for i in range(8)]
+                assert v == math.prod(pow(x, d, P) for x, d in zip(point, e)) % P
 
     def test_fraction_numerator_takes_the_exact_path(self, e6, monkeypatch):
         calls = []
@@ -491,6 +511,21 @@ class TestCancelPreTest:
             cancels += len(got.den) < len(den)
             kept += bool(got.den)
         assert cancels >= 50 and kept >= 50
+
+
+class TestMerge:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_agrees_with_counter_arithmetic(self, seed):
+        rng = random.Random(seed)
+        for _ in range(200):
+            a = sorted(rng.randrange(8) for _ in range(rng.randrange(7)))
+            b = sorted(rng.randrange(8) for _ in range(rng.randrange(7)))
+            only_a, only_b, both, union = polyring._merge(tuple(a), tuple(b))
+            ca, cb = Counter(a), Counter(b)
+            assert only_a == sorted((ca - cb).elements())
+            assert only_b == sorted((cb - ca).elements())
+            assert both == sorted((ca & cb).elements())
+            assert union == tuple(sorted((ca | cb).elements()))
 
 
 class TestPackedMonomials:

@@ -130,6 +130,18 @@ class TestElement:
         assert fresh == w and hash(fresh) == hash(w)
         assert fresh != w.perm
 
+    def test_hash_is_that_of_the_perm(self, e6):
+        # the hash is kept in a slot once taken; it stays hash(perm)
+        elements = list(enumerate_elements(e6, 4)) + list(enumerate_involutions(e6, 6))
+        rng = random.Random(26)
+        elements += [multiply(rng.choice(elements), rng.choice(elements))
+                     for _ in range(50)]
+        elements.append(WeylElt(e6, identity(e6).perm))
+        for w in elements:
+            assert hash(w) == hash(w.perm) == hash(w)
+            built = from_word(e6, reduced_word(w))
+            assert built is not w and built == w and hash(built) == hash(w)
+
     @pytest.mark.parametrize("system, max_len", [("a3", 6), ("e6", 6)])
     def test_is_involution_is_w_squared(self, request, system, max_len):
         rs = request.getfixturevalue(system)
