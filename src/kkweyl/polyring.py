@@ -1,5 +1,5 @@
-"""Sparse multivariate polynomials over exact rationals: plain, factored as a
-unit times positive roots, or over a multiset of positive roots.
+"""Sparse multivariate polynomials with integer coefficients: plain, factored
+as a unit times positive roots, or over a multiset of positive roots.
 
 Variables a_1..a_n are the simple roots of the owning system.  An MPoly maps
 packed monomials to coefficients: one int holds the exponent of a_{i+1} in bits
@@ -8,8 +8,7 @@ bounds every degree the library forms), so a product of monomials is one int
 addition.  MPoly(n, terms) takes exponent tuples; MPoly.terms builds them anew.
 Only this module reads or forms a packed key; another module places a
 polynomial among more variables through MPoly.embedded.
-Coefficients are Python ints wherever possible and Fractions otherwise; both
-compare and hash consistently, so mixed dicts stay canonical.
+Coefficients are Python ints; MPoly and MPoly.const reject any other type.
 
 Every RatFn the operations return is in lowest terms (no denominator root
 divides the numerator), given inputs in lowest terms.  Positive roots are
@@ -23,9 +22,8 @@ beta(a0) = 0 mod the prime P.  A root's coefficients have gcd 1 (it is a
 Weyl image of a simple root), so by Gauss's lemma an integral numerator
 num = beta * q has an integral q, and then num(a0) = beta(a0) q(a0) = 0
 mod P.  A nonzero num(a0) mod P therefore proves that beta does not divide
-num.  A zero value, or a numerator with a Fraction coefficient, goes to the
-exact divide_by_linear, so every result is the one exact trial division
-gives.
+num.  A zero value goes to the exact divide_by_linear, so every result is the
+one exact trial division gives.
 
 The numerators of a fold share few monomials, so each root memoises the
 value mod P of every packed monomial it has met at its point a0; an
@@ -43,13 +41,10 @@ import operator
 import random
 import struct
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
 
 from .rootsys import Root, RootSystem
 from .weyl import WeylElt
-
-Coeff = int | Fraction
 
 # The prime of the divisibility pre-test in _cancel.
 P = (1 << 61) - 1
@@ -94,13 +89,10 @@ def _hull(keys) -> int:
     return functools.reduce(operator.or_, keys, 0)
 
 
-def _div(c: Coeff, d: Coeff):
-    if isinstance(c, int) and isinstance(d, int):
-        q, r = divmod(c, d)
-        if not r:
-            return q
-    out = Fraction(c) / Fraction(d)
-    return int(out) if out.denominator == 1 else out
+def _check_ints(coeffs) -> None:
+    for c in coeffs:
+        if type(c) is not int:
+            raise PolyError(f"coefficient {c!r} is not an int")
 
 
 class MPoly:
@@ -108,15 +100,17 @@ class MPoly:
 
     __slots__ = ("n", "packed")
 
-    def __init__(self, n: int, terms: dict[tuple[int, ...], Coeff] | None = None):
-        """terms maps exponent tuples of length n to coefficients; each key is
-        checked, and zero coefficients are dropped."""
+    def __init__(self, n: int, terms: dict[tuple[int, ...], int] | None = None):
+        """terms maps exponent tuples of length n to int coefficients; each
+        key and coefficient is checked, and zero coefficients are dropped."""
         self.n = n
-        packed = {_pack(n, e): c for e, c in (terms or {}).items()}
+        terms = terms or {}
+        _check_ints(terms.values())
+        packed = {_pack(n, e): c for e, c in terms.items()}
         self.packed = {k: c for k, c in packed.items() if c}
 
     @classmethod
-    def from_packed(cls, n: int, packed: dict[int, Coeff]) -> "MPoly":
+    def from_packed(cls, n: int, packed: dict[int, int]) -> "MPoly":
         """The polynomial with these packed terms, taken as they are."""
         p = cls.__new__(cls)
         p.n, p.packed = n, packed
@@ -129,7 +123,7 @@ class MPoly:
         return MPoly.from_packed(n, {k << 16 * offset: c for k, c in self.packed.items()})
 
     @property
-    def terms(self) -> dict[tuple[int, ...], Coeff]:
+    def terms(self) -> dict[tuple[int, ...], int]:
         """The terms keyed by exponent tuple, in a new dict on each read."""
         return {_unpack(self.n, k): c for k, c in self.packed.items()}
 
@@ -140,8 +134,8 @@ class MPoly:
         return cls.from_packed(n, {})
 
     @classmethod
-    def const(cls, n: int, c) -> "MPoly":
-        c = _norm_coeff(c)
+    def const(cls, n: int, c: int) -> "MPoly":
+        _check_ints((c,))
         return cls.from_packed(n, {0: c} if c else {})
 
     @classmethod
@@ -217,7 +211,7 @@ class MPoly:
     def term_count(self) -> int:
         return len(self.packed)
 
-    def coefficient(self, exponents: tuple[int, ...]) -> Coeff:
+    def coefficient(self, exponents: tuple[int, ...]) -> int:
         try:
             return self.packed.get(_pack(self.n, exponents), 0)
         except PolyError:  # no term of a polynomial has this monomial
@@ -236,7 +230,7 @@ class MPoly:
                 f"a{i + 1}" + (f"^{e}" if e > 1 else "")
                 for i, e in enumerate(k) if e
             )
-            cf = _render_coeff(c)
+            cf = str(c)
             if mono:
                 if cf == "1":
                     parts.append(mono)
@@ -253,18 +247,6 @@ class MPoly:
 
     def __repr__(self):
         return f"MPoly({self.render()})"
-
-
-def _norm_coeff(c) -> Coeff:
-    if isinstance(c, Fraction) and c.denominator == 1:
-        return int(c)
-    return c
-
-
-def _render_coeff(c: Coeff) -> str:
-    if isinstance(c, Fraction):
-        return f"{c.numerator}/{c.denominator}"
-    return str(c)
 
 
 def root_linear_form(rs: RootSystem, beta: Root) -> MPoly:
@@ -324,19 +306,24 @@ def _times_forms(rs: RootSystem, poly: MPoly, factors: Sequence[int],
 
 
 def _nonzero_mod_p(p: MPoly, values: _MonomialValues) -> bool:
-    """Whether p has integer coefficients only and is nonzero mod P at the
-    point whose monomial values are given."""
+    """Whether p is nonzero mod P at the point whose monomial values are
+    given."""
     total = sum(map(operator.mul, p.packed.values(), map(values.__getitem__, p.packed)))
-    # a Fraction coefficient makes the total a Fraction
-    return type(total) is int and total % P != 0
+    return total % P != 0
 
 
 def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
-    """Division with remainder by a linear form with zero constant term.
+    """Division with remainder over Z by a linear form with zero constant
+    term, eliminating the leading variable of L (the lowest-index variable
+    with nonzero coefficient c0) top-down.
 
-    Returns (q, r) with p = q*L + r and no monomial of r involving the leading
-    variable of L (the lowest-index variable with nonzero coefficient).
-    Divisibility of p by L is equivalent to r == 0.
+    Returns (q, r) with p = q*L + r; r is zero exactly when L divides p in
+    Z[a], and then q = p / L.  Where c0 is +-1, no monomial of r involves
+    the leading variable.  Otherwise, at the first step whose coefficient is
+    no multiple of c0, it returns (0, p): that coefficient over c0 is one of
+    the quotient over Q, which is then not integral, so L does not divide p
+    in Z[a], nor, for a primitive L such as a root form, in Q[a] (Gauss's
+    lemma).
     """
     if L.is_zero():
         raise PolyError("division by zero")
@@ -348,17 +335,19 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
     rest = [(ui, c) for ui, c in L.packed.items() if ui != uj]
 
     # bucket terms by their degree in the leading variable; eliminate top-down
-    buckets: dict[int, dict[int, Coeff]] = {}
+    buckets: dict[int, dict[int, int]] = {}
     for k, c in p.packed.items():
         buckets.setdefault(k >> shift & 0xFFFF, {})[k] = c
-    q: dict[int, Coeff] = {}
+    q: dict[int, int] = {}
     for d in range(max(buckets, default=0), 0, -1):
         layer = buckets.get(d)
         if not layer:
             continue
         below = buckets.setdefault(d - 1, {})
         for k, c in layer.items():
-            t = _div(c, c0)
+            t, inexact = divmod(c, c0)
+            if inexact:
+                return MPoly.zero(p.n), p
             kq = k - uj
             q[kq] = t
             for ui, ci in rest:
@@ -555,12 +544,12 @@ def _times_roots(rs: RootSystem, poly: MPoly, factors: Sequence[int],
     fits the L1 norm of the product, which bounds every coefficient of every
     partial product.  Degrees in each variable add under products (Q[a] is a
     domain), so poly's and the roots' decide up front whether an exponent
-    would reach LIMIT; below it e_p + e_q fits its field.  A unit that is not
-    integral, or a rank below 2, falls back to MPoly products by root forms.
+    would reach LIMIT; below it e_p + e_q fits its field.  A rank below 2
+    falls back to MPoly products by root forms.
     """
     roots = [rs.positive_roots[k] for k in factors]
     n = rs.rank
-    if n < 2 or not all(type(c) is int for c in poly.packed.values()):
+    if n < 2:
         return _times_forms(rs, poly, factors, budget)
     uses = [sum(1 for beta in roots if beta.b[i]) for i in range(n)]
     tops = map(max, zip(*(_unpack(n, k) for k in poly.packed)))

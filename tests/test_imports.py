@@ -1,6 +1,7 @@
 """Offline lints over the package's modules, `__init__.py` aside (it imports
-to re-export): no module imports a name it never reads, and every name a
-module defines at top level has a reader.  Standard library only."""
+to re-export): no module imports a name it never reads, every name a module
+defines at top level has a reader, and only rootsys and cli import fractions.
+Standard library only."""
 
 import ast
 import re
@@ -105,3 +106,23 @@ def test_every_module_level_name_has_a_reader():
                    for w in re.findall(r"\w+", p.read_text())}
     sources = {p[:-3]: (SRC / p).read_text() for p in MODULES}
     assert unread_names(sources, bench_words | set(kkweyl.__all__)) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the absolute imports in the source."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {a.name.partition(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module.partition(".")[0])
+    return out
+
+
+def test_only_epsilon_coordinates_are_rational():
+    """Polynomial coefficients are ints; the one rational quantity is the
+    epsilon coordinates, which rootsys builds and cli prints."""
+    assert imported_modules("import os.path\nfrom fractions import Fraction\n"
+                            "from .rootsys import Root\n") == {"os", "fractions"}
+    users = {p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p.read_text())}
+    assert users <= {"rootsys.py", "cli.py"}

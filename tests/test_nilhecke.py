@@ -1,7 +1,7 @@
 import dataclasses
 import itertools
+import math
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -303,8 +303,7 @@ class TestKKPoly:
     def test_degree_of_factored_d_w_on_e6_involutions(self, e6, e8):
         # d_w is homogeneous of degree N - l(w) (N positive roots): the unit is
         # homogeneous and its degree and the root factors add up to it.  Every
-        # unit the fold builds is integral, so its expansion takes the row
-        # kernel of _times_roots and never the Fraction fallback.
+        # unit the fold builds is integral.
         invols = list(weyl.enumerate_involutions(e6, 10))
         assert len(invols) == 191
         short_e8 = list(enumerate_elements(e8, 4))
@@ -368,21 +367,28 @@ class TestFactoredPoly:
                     full, root_linear_form(a3, root))[1].is_zero()
                 assert p.divisible_by(k) is by_division, (p, k)
 
-    @pytest.mark.parametrize("base", [0, 247, 248])
-    def test_expand_agrees_with_mpoly_products(self, a3, base):
-        # with all six roots of A3 as factors, a unit of degree 249 keeps
-        # every exponent within a byte; at degree 250 MPoly products take over
+    @pytest.mark.parametrize("over", [0, 1])
+    def test_expand_agrees_with_mpoly_products(self, a3, over):
+        # three of the six roots of A3 have a1, so the row kernel's up-front
+        # test admits a unit of a1-degree LIMIT - 4 and refuses one more, as
+        # the MPoly products by root forms do
         x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
-        big = MPoly(3, {(base, 0, 0): 1})
-        units = [MPoly.const(3, 0), MPoly.const(3, -2), big * (x1 - x2),
-                 big * (x1 * x2 - MPoly.const(3, 3) * x3 * x3 + x2 - MPoly.const(3, 5)),
-                 big * (x1 * x1 - x2 * x3 + MPoly.const(3, Fraction(1, 3)))]
+        units = [MPoly.const(3, -2), x1 - x2,
+                 x1 * x2 - MPoly.const(3, 3) * x3 * x3 + x2 - MPoly.const(3, 5),
+                 x1 * x1 - x2 * x3 + MPoly.const(3, 3)]
         factors = (0, 3, 5, 1, 4, 2)
+        forms = [root_linear_form(a3, a3.positive_roots[k]) for k in factors]
         for unit in units:
-            expected = unit
-            for k in factors:
-                expected = expected * root_linear_form(a3, a3.positive_roots[k])
-            assert FactoredPoly(a3, unit, factors).expand() == expected, unit
+            top = max(e[0] for e in unit.terms)
+            unit = MPoly(3, {(polyring.LIMIT - 4 - top + over, 0, 0): 1}) * unit
+            if over:
+                with pytest.raises(polyring.PolyError):
+                    FactoredPoly(a3, unit, factors).expand()
+                with pytest.raises(polyring.PolyError):
+                    math.prod(forms, start=unit)
+            else:
+                assert FactoredPoly(a3, unit, factors).expand() == \
+                    math.prod(forms, start=unit), unit
 
     @pytest.mark.parametrize("system,factors", [("a3", (0, 3, 5, 1, 4, 2)),
                                                  ("e6", (0, 7, 20, 35, 9, 9))])
