@@ -367,8 +367,23 @@ class TestFactoredPoly:
                     full, root_linear_form(a3, root))[1].is_zero()
                 assert p.divisible_by(k) is by_division, (p, k)
 
+    @pytest.mark.parametrize("base", [0, 247, 248])
+    def test_expand_agrees_with_mpoly_products(self, a3, base):
+        # with all six roots of A3 as factors, expand() equals the product of
+        # the root forms for units of low and of moderate degree
+        x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
+        big = MPoly(3, {(base, 0, 0): 1})
+        units = [MPoly.const(3, 0), MPoly.const(3, -2), big * (x1 - x2),
+                 big * (x1 * x2 - MPoly.const(3, 3) * x3 * x3 + x2 - MPoly.const(3, 5)),
+                 big * (x1 * x1 - x2 * x3 + MPoly.const(3, 3))]
+        factors = (0, 3, 5, 1, 4, 2)
+        forms = [root_linear_form(a3, a3.positive_roots[k]) for k in factors]
+        for unit in units:
+            assert FactoredPoly(a3, unit, factors).expand() == \
+                math.prod(forms, start=unit), unit
+
     @pytest.mark.parametrize("over", [0, 1])
-    def test_expand_agrees_with_mpoly_products(self, a3, over):
+    def test_expand_at_the_limit_agrees_with_mpoly_products(self, a3, over):
         # three of the six roots of A3 have a1, so the row kernel's up-front
         # test admits a unit of a1-degree LIMIT - 4 and refuses one more, as
         # the MPoly products by root forms do
