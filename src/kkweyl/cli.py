@@ -17,12 +17,11 @@ import os
 import sys
 from contextlib import nullcontext
 from dataclasses import replace
-from fractions import Fraction
 from typing import Callable, Optional
 
 from .rootsys import (
     NAMED_ORDERS, RootSystem, RootSystemError, SimpleOrder,
-    build_e_system, build_from_cartan, named_order, default_order_name,
+    build_e_system, build_from_cartan, eps_coordinates, named_order, default_order_name,
 )
 from . import weyl
 from .nilhecke import NilHeckeEngine, BudgetExceeded, DEFAULT_TERM_BUDGET
@@ -89,17 +88,11 @@ def count_arg(text: str) -> int:
     return n
 
 
-def _frac_str(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
-
-
 # -- gen-tables -----------------------------------------------------------------
 
 def row_record(row: FactorRow) -> dict:
-    eps = [] if row.beta.eps is None else [_frac_str(x) for x in row.beta.eps]
     return {
-        "eps": eps,
+        "eps": [f"{x.numerator}/{x.denominator}" for x in eps_coordinates(row.beta.b)],
         "b": list(row.beta.b),
         "u_word": list(row.u_word),
         "u_len": len(row.u_word),

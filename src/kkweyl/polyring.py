@@ -325,6 +325,8 @@ def divide_by_linear(p: MPoly, L: MPoly) -> tuple[MPoly, MPoly]:
     in Z[a], nor, for a primitive L such as a root form, in Q[a] (Gauss's
     lemma).
     """
+    if p.n != L.n:
+        raise PolyError("mixed variable counts")
     if L.is_zero():
         raise PolyError("division by zero")
     # a variable's monomial is a power of two at the bottom of its field

@@ -1,9 +1,9 @@
 """Root systems of type E (and small simply-laced test systems) in exact arithmetic.
 
-All coordinates are exact: epsilon-coordinates are tuples of Fractions, simple-root
-coefficient vectors are tuples of ints.  Each eps is built with no Fraction
-arithmetic: it is summed in ints as a multiple of the lcm D of the simple vectors'
-denominators, and each coordinate m is read from one Fraction(m, D) per system.  A
+A root system is its Cartan matrix: a root is its tuple of integer coefficients over
+the simple roots, and every table is derived from the matrix alone.  The E types take
+their matrix from the standard simple vectors in R^8; a root's epsilon-coordinates
+there are output data, formed only when `eps_coordinates` is asked for them.  A
 RootSystem is immutable after construction; the only state it gains later is in three
 memos, each filled lazily.  Two are keyed by positive-root index: `reflection_memo`,
 which `weyl.reflection` and `weyl.simple_reflection` fill with the group element
@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Optional, Sequence
+from typing import Sequence
 
 
 class RootSystemError(ValueError):
@@ -29,14 +29,9 @@ class RootSystemError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Root:
-    """A root, stored as integer coefficients over the simple roots.
-
-    A root is its coefficient vector: equality and hash read `b` alone.
-    `eps` carries the ambient epsilon-coordinates when the system has an
-    explicit embedding (the E types); it is None for Cartan-matrix test systems.
-    """
+    """A root, stored as integer coefficients over the simple roots; the
+    epsilon-coordinates of an E-type root are `eps_coordinates(b)`."""
     b: tuple[int, ...]
-    eps: Optional[tuple[Fraction, ...]]
 
     # not generated: the dataclass pair would build the tuple (b,) on every call
     def __eq__(self, other):
@@ -110,17 +105,13 @@ def _tuple_getter(indices: list[int]):
 class RootSystem:
     """Simply-laced root system with an indexed, ordered set of positive roots."""
 
-    def __init__(self, type_tag: str, cartan: tuple[tuple[int, ...], ...],
-                 simple_eps: Optional[list[tuple[Fraction, ...]]]):
+    def __init__(self, type_tag: str, cartan: tuple[tuple[int, ...], ...]):
         self.type_tag = type_tag
         self.cartan = cartan
         self.rank = len(cartan)
-        self._simple_eps = simple_eps
         images = _close_positive(cartan)
-        pos_b = sorted(images, key=lambda b: (sum(b), b))
         self.positive_roots: tuple[Root, ...] = tuple(
-            Root(b, eps) for b, eps in zip(pos_b, _root_eps(simple_eps, pos_b))
-        )
+            map(Root, sorted(images, key=lambda b: (sum(b), b))))
         self.index_of_b: dict[tuple[int, ...], int] = {
             r.b: k for k, r in enumerate(self.positive_roots)
         }
@@ -204,20 +195,30 @@ _E_COUNTS = {"E6": 36, "E7": 63, "E8": 120}
 
 
 def build_e_system(type_tag: str) -> RootSystem:
-    """Construct E6, E7 or E8 with its standard epsilon-coordinates in R^8."""
+    """Construct E6, E7 or E8 from its Cartan matrix, which is read off the
+    first n standard simple vectors in R^8.  Every root has squared length 2
+    once the simple vectors do: each root is a simple root's image under
+    orthogonal reflections."""
     if type_tag not in _E_COUNTS:
         raise RootSystemError(f"unknown E type {type_tag!r}")
     n = int(type_tag[1])
-    eps = _e8_simple_eps()[:n]
-    _, simple = _scaled(eps)
+    d, simple = _scaled(_e8_simple_eps()[:n])
     cartan = tuple(tuple(_cartan_entry(a, b) for b in simple) for a in simple)
-    rs = RootSystem(type_tag, cartan, eps)
+    rs = RootSystem(type_tag, cartan)
     if len(rs.positive_roots) != _E_COUNTS[type_tag]:
         raise RootSystemError("positive-root count mismatch")
-    d, roots = _scaled([r.eps for r in rs.positive_roots])
-    if any(sum(x * x for x in v) != 2 * d * d for v in roots):
+    if any(sum(x * x for x in v) != 2 * d * d for v in simple):
         raise RootSystemError("root of squared length != 2")
     return rs
+
+
+def eps_coordinates(b: tuple[int, ...]) -> tuple[Fraction, ...]:
+    """The epsilon-coordinates in R^8 of the E-type root with simple-root
+    coefficients b, summed in ints over the simple vectors scaled by the lcm D
+    of their denominators: one Fraction(m, D) per coordinate."""
+    d, simple = _scaled(_e8_simple_eps()[:len(b)])
+    return tuple(Fraction(sum(c * x for c, x in zip(b, col) if c), d)
+                 for col in zip(*simple))
 
 
 def _scaled(vectors) -> tuple[int, list[tuple[int, ...]]]:
@@ -225,17 +226,6 @@ def _scaled(vectors) -> tuple[int, list[tuple[int, ...]]]:
     ints read from numerator and denominator (no Fraction arithmetic)."""
     d = math.lcm(*(x.denominator for v in vectors for x in v))
     return d, [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors]
-
-
-def _root_eps(simple_eps, pos_b) -> list[Optional[tuple[Fraction, ...]]]:
-    """Each root's eps, or None for every root of a system without them."""
-    if simple_eps is None:
-        return [None] * len(pos_b)
-    d, simple = _scaled(simple_eps)
-    cols = list(zip(*simple))
-    ints = [tuple(sum(c * x for c, x in zip(b, col) if c) for col in cols) for b in pos_b]
-    frac = {m: Fraction(m, d) for m in set().union(*ints)}
-    return [tuple(map(frac.__getitem__, v)) for v in ints]
 
 
 def _cartan_entry(a, b) -> int:
@@ -258,7 +248,7 @@ def build_from_cartan(matrix: Sequence[Sequence[int]]) -> RootSystem:
         for j in range(n):
             if i != j and (cartan[i][j] not in (0, -1) or cartan[i][j] != cartan[j][i]):
                 raise RootSystemError("only symmetric simply-laced Cartan matrices are supported")
-    return RootSystem(f"cartan{n}", cartan, None)
+    return RootSystem(f"cartan{n}", cartan)
 
 
 def direct_sum(rs1: RootSystem, rs2: RootSystem) -> RootSystem:
@@ -269,14 +259,7 @@ def direct_sum(rs1: RootSystem, rs2: RootSystem) -> RootSystem:
     ) + tuple(
         (0,) * n1 + tuple(rs2.cartan[i]) for i in range(n2)
     )
-    eps = None
-    if rs1._simple_eps is not None and rs2._simple_eps is not None:
-        d1 = len(rs1._simple_eps[0])
-        d2 = len(rs2._simple_eps[0])
-        zero1 = (Fraction(0),) * d1
-        zero2 = (Fraction(0),) * d2
-        eps = [v + zero2 for v in rs1._simple_eps] + [zero1 + v for v in rs2._simple_eps]
-    return RootSystem(f"{rs1.type_tag}+{rs2.type_tag}", cartan, eps)
+    return RootSystem(f"{rs1.type_tag}+{rs2.type_tag}", cartan)
 
 
 def lex_key(order: SimpleOrder, root: Root) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from kkweyl.rootsys import first_column, named_order
+from kkweyl.rootsys import eps_coordinates, first_column, named_order
 from kkweyl.polyring import (
     MPoly, RatFn, ratfn_normalize, root_linear_form, divide_by_linear,
 )
@@ -103,7 +103,7 @@ def _check_table(rs, type_tag, order_name, allow_extra=()):
     for key, (eps_strs, word) in paper.items():
         row = ours[key]
         assert row.premise_ok
-        assert row.beta.eps == tuple(Fraction(s) for s in eps_strs)
+        assert eps_coordinates(row.beta.b) == tuple(Fraction(s) for s in eps_strs)
         paper_elt = from_word(rs, word)
         if paper_elt == row.u:
             continue

@@ -1,7 +1,7 @@
 """Offline lints over the package's modules, `__init__.py` aside (it imports
 to re-export): no module imports a name it never reads, every name a module
-defines at top level has a reader, and only rootsys and cli import fractions.
-Standard library only."""
+defines at top level has a reader, and only rootsys imports fractions.  The
+first lint covers the test modules too.  Standard library only."""
 
 import ast
 import re
@@ -14,6 +14,10 @@ import kkweyl
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "kkweyl"
 MODULES = sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = ROOT / "tests"
+# a package module by its file name, a test module by tests/<file name>
+LINTED = ([pytest.param(SRC / m, id=m) for m in MODULES]
+          + [pytest.param(p, id=f"tests/{p.name}") for p in sorted(TESTS.glob("*.py"))])
 
 
 def names_read(tree: ast.AST) -> set[str]:
@@ -55,9 +59,9 @@ def test_detector_flags_only_unread_names():
     assert unused_imports(source) == ["sys", "Sequence", "direct_sum"]
 
 
-@pytest.mark.parametrize("module", MODULES)
-def test_module_reads_every_name_it_imports(module):
-    assert unused_imports((SRC / module).read_text()) == []
+@pytest.mark.parametrize("path", LINTED)
+def test_module_reads_every_name_it_imports(path):
+    assert unused_imports(path.read_text()) == []
 
 
 def top_level_names(stmt: ast.stmt) -> list[str]:
@@ -121,8 +125,8 @@ def imported_modules(source: str) -> set[str]:
 
 def test_only_epsilon_coordinates_are_rational():
     """Polynomial coefficients are ints; the one rational quantity is the
-    epsilon coordinates, which rootsys builds and cli prints."""
+    epsilon coordinates, which rootsys forms for cli to print."""
     assert imported_modules("import os.path\nfrom fractions import Fraction\n"
                             "from .rootsys import Root\n") == {"os", "fractions"}
     users = {p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p.read_text())}
-    assert users <= {"rootsys.py", "cli.py"}
+    assert users <= {"rootsys.py"}

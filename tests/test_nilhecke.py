@@ -1,5 +1,4 @@
 import dataclasses
-import itertools
 import math
 import random
 

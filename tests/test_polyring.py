@@ -137,6 +137,15 @@ class TestDivideByLinear:
             with pytest.raises(PolyError):
                 MPoly.const(2, c)
 
+    def test_mixed_variable_counts_rejected(self):
+        # a divisor in three variables read against a numerator in two would
+        # place a remainder term in a field the numerator does not have
+        p = MPoly(2, {(1, 0): 1})
+        L = MPoly(3, {(1, 0, 0): 1, (0, 0, 1): 1})
+        for args in ((p, L), (L, p)):
+            with pytest.raises(PolyError, match="mixed variable counts"):
+                divide_by_linear(*args)
+
     def test_nonlinear_divisor_rejected(self):
         x1 = MPoly.var(2, 1)
         with pytest.raises(PolyError):

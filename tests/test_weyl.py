@@ -510,14 +510,14 @@ class TestReflection:
 
     def test_negative_root_rejected(self, e6):
         with pytest.raises(WeylError):
-            reflection(e6, Root(tuple(-x for x in e6.positive_roots[3].b), None))
+            reflection(e6, Root(tuple(-x for x in e6.positive_roots[3].b)))
 
     @pytest.mark.parametrize("b", [(0,) * 6, (1, 1, 0, 0, 0, 0), (2, 0, 0, 0, 0, 0),
                                    (1, 0, -1, 0, 0, 0), (1, 0, 0, 0, 0)])
     def test_vector_that_is_no_root_rejected(self, e6, b):
         # alpha_1 + alpha_2 is no root: nodes 1 and 2 are not joined in E6
         with pytest.raises(RootSystemError):
-            reflection(e6, Root(b, None))
+            reflection(e6, Root(b))
 
 
 class TestSupport:
