@@ -2,8 +2,9 @@
 
 A root system is its Cartan matrix: a root is its tuple of integer coefficients over
 the simple roots, and every table is derived from the matrix alone.  The E types take
-their matrix from the standard simple vectors in R^8; a root's epsilon-coordinates
-there are output data, formed only when `eps_coordinates` is asked for them.  A
+their matrix from the standard simple vectors in R^8, kept doubled in one integer
+constant; a root's epsilon-coordinates there are output data, the one rational
+quantity, formed only when `eps_coordinates` is asked for them.  A
 RootSystem is immutable after construction; the only state it gains later is in three
 memos, each filled lazily.  Two are keyed by positive-root index: `reflection_memo`,
 which `weyl.reflection` and `weyl.simple_reflection` fill with the group element
@@ -16,7 +17,6 @@ that `weyl.support` scans.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -83,16 +83,18 @@ def default_order_name(type_tag: str) -> str:
     return "natural" if type_tag == "E6" else "standard"
 
 
-def _e8_simple_eps() -> list[tuple[Fraction, ...]]:
-    h = Fraction(1, 2)
-    alpha1 = (h, -h, -h, -h, -h, -h, -h, h)
-    out = [alpha1, (1, 1, 0, 0, 0, 0, 0, 0)]
-    for i in range(6):
-        v = [0] * 8
-        v[i] = -1
-        v[i + 1] = 1
-        out.append(tuple(v))
-    return [tuple(Fraction(x) for x in v) for v in out]
+# The standard E8 simple vectors in R^8 (Bourbaki, Plate VII), doubled so that
+# every coordinate is an int; E6 and E7 take the first six and seven.
+_E8_SIMPLE_DOUBLED = (
+    (1, -1, -1, -1, -1, -1, -1, 1),
+    (2, 2, 0, 0, 0, 0, 0, 0),
+    (-2, 2, 0, 0, 0, 0, 0, 0),
+    (0, -2, 2, 0, 0, 0, 0, 0),
+    (0, 0, -2, 2, 0, 0, 0, 0),
+    (0, 0, 0, -2, 2, 0, 0, 0),
+    (0, 0, 0, 0, -2, 2, 0, 0),
+    (0, 0, 0, 0, 0, -2, 2, 0),
+)
 
 
 def _tuple_getter(indices: list[int]):
@@ -196,40 +198,31 @@ _E_COUNTS = {"E6": 36, "E7": 63, "E8": 120}
 
 def build_e_system(type_tag: str) -> RootSystem:
     """Construct E6, E7 or E8 from its Cartan matrix, which is read off the
-    first n standard simple vectors in R^8.  Every root has squared length 2
-    once the simple vectors do: each root is a simple root's image under
-    orthogonal reflections."""
+    first n standard simple vectors in R^8, doubled.  Every root has squared
+    length 2 (8 doubled) once the simple vectors do: each root is a simple
+    root's image under orthogonal reflections."""
     if type_tag not in _E_COUNTS:
         raise RootSystemError(f"unknown E type {type_tag!r}")
-    n = int(type_tag[1])
-    d, simple = _scaled(_e8_simple_eps()[:n])
+    simple = _E8_SIMPLE_DOUBLED[:int(type_tag[1])]
     cartan = tuple(tuple(_cartan_entry(a, b) for b in simple) for a in simple)
     rs = RootSystem(type_tag, cartan)
     if len(rs.positive_roots) != _E_COUNTS[type_tag]:
         raise RootSystemError("positive-root count mismatch")
-    if any(sum(x * x for x in v) != 2 * d * d for v in simple):
+    if any(sum(x * x for x in v) != 8 for v in simple):
         raise RootSystemError("root of squared length != 2")
     return rs
 
 
 def eps_coordinates(b: tuple[int, ...]) -> tuple[Fraction, ...]:
     """The epsilon-coordinates in R^8 of the E-type root with simple-root
-    coefficients b, summed in ints over the simple vectors scaled by the lcm D
-    of their denominators: one Fraction(m, D) per coordinate."""
-    d, simple = _scaled(_e8_simple_eps()[:len(b)])
-    return tuple(Fraction(sum(c * x for c, x in zip(b, col) if c), d)
-                 for col in zip(*simple))
-
-
-def _scaled(vectors) -> tuple[int, list[tuple[int, ...]]]:
-    """The lcm D of the coordinates' denominators and each vector times D, in
-    ints read from numerator and denominator (no Fraction arithmetic)."""
-    d = math.lcm(*(x.denominator for v in vectors for x in v))
-    return d, [tuple(x.numerator * (d // x.denominator) for x in v) for v in vectors]
+    coefficients b, summed in ints over the doubled simple vectors: one
+    Fraction(m, 2) per coordinate."""
+    return tuple(Fraction(sum(c * x for c, x in zip(b, col) if c), 2)
+                 for col in zip(*_E8_SIMPLE_DOUBLED))
 
 
 def _cartan_entry(a, b) -> int:
-    """2(a, b)/(b, b) for two scaled simple vectors (the scale cancels)."""
+    """2(a, b)/(b, b) for two doubled simple vectors (the scale cancels)."""
     v, rem = divmod(2 * sum(map(mul, a, b)), sum(map(mul, b, b)))
     if rem:
         raise RootSystemError("non-integral Cartan entry")

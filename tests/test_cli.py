@@ -27,6 +27,13 @@ class TestKK:
         err = capsys.readouterr().err
         assert "not reduced" in err
         assert "'2 1 1'" in err
+        # the word is checked before any fold, so a budget the fold would
+        # blow (69 on the reduced prefix) is never reached
+        assert main(["kk", "--type", "E6", "--word", "1 3 4 2 5 6 6",
+                     "--term-budget", "5"]) == 65
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not reduced at prefix '1 3 4 2 5 6 6'" in captured.err
 
     def test_budget_exit_69(self, capsys):
         assert main(["kk", "--type", "E6", "--word", "1 3 4 2 5 6",

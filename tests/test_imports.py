@@ -1,7 +1,7 @@
 """Offline lints over the package's modules, `__init__.py` aside (it imports
 to re-export): no module imports a name it never reads, every name a module
-defines at top level has a reader, and only rootsys imports fractions.  The
-first lint covers the test modules too.  Standard library only."""
+defines at top level has a reader, and only rootsys.eps_coordinates forms a
+Fraction.  The first lint covers the test modules too.  Standard library only."""
 
 import ast
 import re
@@ -123,10 +123,37 @@ def imported_modules(source: str) -> set[str]:
     return out
 
 
+def fraction_calls(source: str) -> list[str]:
+    """The innermost enclosing function of each Fraction(...) call in the
+    source, `<module>` for one outside any function, in source order."""
+    out = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call) and "Fraction" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            out.append(where)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return out
+
+
 def test_only_epsilon_coordinates_are_rational():
     """Polynomial coefficients are ints; the one rational quantity is the
-    epsilon coordinates, which rootsys forms for cli to print."""
+    epsilon coordinates, which rootsys.eps_coordinates alone forms, for cli
+    to print."""
     assert imported_modules("import os.path\nfrom fractions import Fraction\n"
                             "from .rootsys import Root\n") == {"os", "fractions"}
     users = {p.name for p in SRC.glob("*.py") if "fractions" in imported_modules(p.read_text())}
     assert users <= {"rootsys.py"}
+    assert fraction_calls("H = Fraction(1, 2)\n"
+                          "class C:\n    def f(self):\n        return [fractions.Fraction(x)\n"
+                          "                for x in g(Fraction)]\n"
+                          "def h():\n    def k():\n        return Fraction(2)\n"
+                          "    return Fraction(k())\n") == ["<module>", "f", "k", "h"]
+    calls = [f"{p.name}:{where}" for p in sorted(SRC.glob("*.py"))
+             for where in fraction_calls(p.read_text())]
+    assert calls == ["rootsys.py:eps_coordinates"]

@@ -367,19 +367,29 @@ class TestFactoredPoly:
                 assert p.divisible_by(k) is by_division, (p, k)
 
     @pytest.mark.parametrize("base", [0, 247, 248])
-    def test_expand_agrees_with_mpoly_products(self, a3, base):
-        # with all six roots of A3 as factors, expand() equals the product of
-        # the root forms for units of low and of moderate degree
-        x1, x2, x3 = (MPoly.var(3, i) for i in (1, 2, 3))
-        big = MPoly(3, {(base, 0, 0): 1})
-        units = [MPoly.const(3, 0), MPoly.const(3, -2), big * (x1 - x2),
-                 big * (x1 * x2 - MPoly.const(3, 3) * x3 * x3 + x2 - MPoly.const(3, 5)),
-                 big * (x1 * x1 - x2 * x3 + MPoly.const(3, 3))]
-        factors = (0, 3, 5, 1, 4, 2)
-        forms = [root_linear_form(a3, a3.positive_roots[k]) for k in factors]
-        for unit in units:
-            assert FactoredPoly(a3, unit, factors).expand() == \
-                math.prod(forms, start=unit), unit
+    def test_expand_agrees_with_mpoly_products(self, request, base):
+        # with 0 to 6 root factors, on both sides of the cut between the loop
+        # and the rows (and on rank 1, which has only the loop), expand()
+        # equals the product of the root forms for units of low and of
+        # moderate degree, and refuses a budget one below its term count
+        for system, roots in [("a1", (0,) * 6), ("a3", (0, 3, 5, 1, 4, 2)),
+                              ("e6", (0, 7, 20, 35, 9, 9))]:
+            rs = request.getfixturevalue(system)
+            n = rs.rank
+            x1, x2, x3 = (MPoly.var(n, i) for i in (1, n // 2 + 1, n))
+            big = MPoly(n, {(base,) + (0,) * (n - 1): 1})
+            units = [MPoly.const(n, 0), MPoly.const(n, -2), big * (x1 - x2),
+                     big * (x1 * x2 - MPoly.const(n, 3) * x3 * x3 + x2 - MPoly.const(n, 5)),
+                     big * (x1 * x1 - x2 * x3 + MPoly.const(n, 3))]
+            forms = [root_linear_form(rs, rs.positive_roots[k]) for k in roots]
+            for f in range(len(roots) + 1):
+                for unit in units:
+                    p = FactoredPoly(rs, unit, roots[:f])
+                    expected = math.prod(forms[:f], start=unit)
+                    assert p.expand() == expected, (system, f, unit)
+                    if expected:
+                        with pytest.raises(BudgetExceeded):
+                            p.expand(budget=expected.term_count() - 1)
 
     @pytest.mark.parametrize("over", [0, 1])
     def test_expand_at_the_limit_agrees_with_mpoly_products(self, a3, over):

@@ -72,18 +72,19 @@ class TestEpsOracle:
         assert build_e_system(type_tag).cartan == expected
 
     def test_wrong_length_simple_vectors_rejected(self, monkeypatch):
-        # every simple vector doubled: the Cartan matrix and the root count
-        # stay those of E6, but no root has squared length 2
-        doubled = [tuple(2 * Fraction(x) for x in v) for v in E8_SIMPLE]
-        monkeypatch.setattr(rootsys, "_e8_simple_eps", lambda: doubled)
+        # every simple vector doubled (and doubled again, as the constant
+        # holds them): the Cartan matrix and the root count stay those of E6,
+        # but no root has squared length 2
+        doubled = [tuple(int(2 * 2 * x) for x in v) for v in E8_SIMPLE]
+        monkeypatch.setattr(rootsys, "_E8_SIMPLE_DOUBLED", doubled)
         with pytest.raises(RootSystemError, match="squared length"):
             build_e_system("E6")
 
     def test_non_integral_cartan_rejected(self, monkeypatch):
         # alpha_2 replaced by a vector of squared length 3: 2(a1, v)/(v, v) = -1/3
-        forged = [tuple(Fraction(x) for x in v) for v in E8_SIMPLE]
-        forged[1] = tuple(Fraction(x) for x in (1, 1, 1, 0, 0, 0, 0, 0))
-        monkeypatch.setattr(rootsys, "_e8_simple_eps", lambda: forged)
+        forged = [tuple(int(2 * x) for x in v) for v in E8_SIMPLE]
+        forged[1] = tuple(2 * x for x in (1, 1, 1, 0, 0, 0, 0, 0))
+        monkeypatch.setattr(rootsys, "_E8_SIMPLE_DOUBLED", forged)
         with pytest.raises(RootSystemError, match="non-integral Cartan entry"):
             build_e_system("E6")
 
