@@ -16,14 +16,17 @@ pairwise non-associate primes of Q[a], so a root can cancel only at the roots
 shared by the denominators of a sum, at the one-sided roots of a product and
 at the new root of ratfn_mul_root_inverse; the Weyl action cancels none.
 
-Most of those candidate roots do not divide, and one evaluation proves it
-before any trial division.  Each positive root beta has a fixed point a0 with
-beta(a0) = 0 mod the prime P.  A root's coefficients have gcd 1 (it is a
-Weyl image of a simple root), so by Gauss's lemma an integral numerator
-num = beta * q has an integral q, and then num(a0) = beta(a0) q(a0) = 0
-mod P.  A nonzero num(a0) mod P therefore proves that beta does not divide
-num.  A zero value goes to the exact divide_by_linear, so every result is the
-one exact trial division gives.
+Most of those candidate roots do not divide, and the numerator's degree or one
+evaluation proves it before any trial division.  A nonzero constant has no
+root factor, and a num of degree 1 has one only as c * beta, beta the positive
+root of its primitive part.  Each positive root beta has a fixed point a0 with
+beta(a0) = 0 mod the prime P = 2^30 - 35, the largest below 2^30, so that every
+value mod P is one 30-bit digit of a CPython int.  A root's coefficients have
+gcd 1 (it is a Weyl image of a simple root), so by Gauss's lemma num = beta * q
+has an integral q for an integral num, and then num(a0) = 0 mod P: a nonzero
+num(a0) mod P proves that beta does not divide num.  A zero value, false with
+probability at most deg num / P, goes to the exact divide_by_linear, so every
+result is the one exact trial division gives.
 
 The numerators of a fold share few monomials, so each root memoises the
 value mod P of every packed monomial it has met at its point a0; an
@@ -46,8 +49,8 @@ from typing import Sequence
 from .rootsys import Root, RootSystem
 from .weyl import WeylElt
 
-# The prime of the divisibility pre-test in _cancel.
-P = (1 << 61) - 1
+# The prime of the divisibility pre-test in _cancel (module docstring).
+P = (1 << 30) - 35
 
 # The bound on every exponent of a packed monomial.
 LIMIT = 1 << 15
@@ -423,20 +426,36 @@ def ratfn_const(rs: RootSystem, c) -> RatFn:
 def _cancel(rs: RootSystem, num: MPoly, den, candidates) -> RatFn:
     """num / den with each candidate root cancelled as often as it divides; as
     roots are pairwise non-associate primes, one pass over them suffices.  A
-    trial division is made only where num vanishes at the root's point mod P
-    (module docstring)."""
+    num of degree at most 1 is settled by its keys; one of higher degree is
+    divided only where it vanishes at the root's point mod P, falsely with
+    probability at most deg num / P (module docstring)."""
     if num.is_zero():
         return ratfn_zero(rs)
     den = list(den)
-    for k in candidates:
-        form, values = _root_data(rs, k)
-        while k in den and not _nonzero_mod_p(num, values):
-            q, r = divide_by_linear(num, form)
-            if not r.is_zero():
-                break
-            num = q
+    low = _low_keys(rs.rank)
+    if not num.packed.keys() <= low:
+        for k in candidates:
+            form, values = _root_data(rs, k)
+            while k in den and not num.packed.keys() <= low and not _nonzero_mod_p(num, values):
+                q, r = divide_by_linear(num, form)
+                if not r.is_zero():
+                    break
+                num = q
+                den.remove(k)
+    packed = num.packed
+    if packed.keys() <= low and 0 not in packed:  # c * beta, beta its primitive part
+        c = math.gcd(*packed.values()) * (1 if packed[min(packed)] > 0 else -1)
+        k = rs.index_of_b.get(tuple(packed.get(1 << 16 * i, 0) // c for i in range(rs.rank)))
+        if k in den and k in candidates:
+            num = MPoly.const(rs.rank, c)
             den.remove(k)
     return RatFn(rs, num, tuple(sorted(den)))
+
+
+@functools.cache
+def _low_keys(n: int) -> frozenset[int]:
+    """The packed monomials of degree at most 1 in n variables."""
+    return frozenset([0] + [1 << 16 * i for i in range(n)])
 
 
 def ratfn_normalize(f: RatFn) -> RatFn:
@@ -625,8 +644,8 @@ class FactoredPoly:
 
     def divisible_by(self, k: int) -> bool:
         """Whether positive root k divides the product: it is one of the root
-        factors or it divides the unit, which _cancel decides with its mod-P
-        pre-test before any trial division."""
+        factors or it divides the unit, which _cancel decides by degree or
+        its mod-P pre-test before any trial division."""
         return k in self.root_factors or not _cancel(self.rs, self.unit, (k,), (k,)).den
 
     def equals(self, other: "FactoredPoly", budget: int | None = None) -> bool:

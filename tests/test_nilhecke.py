@@ -193,6 +193,22 @@ def test_fold_divides_only_where_a_root_cancels(monkeypatch):
     assert forms and len(forms) == len(set(forms))
 
 
+def test_fold_evaluates_no_numerator_of_degree_below_two(monkeypatch):
+    """A constant or linear numerator is settled by its keys: the pre-test
+    evaluates mod P only numerators of degree 2 or more."""
+    rs = build_e_system("E6")
+    degrees = []
+    nonzero = polyring._nonzero_mod_p
+
+    def recorded(p, values):
+        degrees.append(p.degree)
+        return nonzero(p, values)
+
+    monkeypatch.setattr(polyring, "_nonzero_mod_p", recorded)
+    assert not NilHeckeEngine(rs).x_w(longest_word(rs)[:12]).is_zero()
+    assert degrees and min(degrees) >= 2
+
+
 def test_fold_multiplies_by_one_root_form_at_a_time(monkeypatch):
     """The fold multiplies each summand's numerator by the root forms it
     lacks, one at a time: the multiplier of every MPoly product is a

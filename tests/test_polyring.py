@@ -433,9 +433,28 @@ def cancel_by_trial_division(rs, num, den, candidates):
     return RatFn(rs, num, tuple(sorted(den)))
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """The numerators _cancel evaluates mod P, in call order."""
+    seen = []
+    nonzero = polyring._nonzero_mod_p
+
+    def recorded(p, values):
+        seen.append(p)
+        return nonzero(p, values)
+
+    monkeypatch.setattr(polyring, "_nonzero_mod_p", recorded)
+    return seen
+
+
 class TestCancelPreTest:
-    """_cancel skips a trial division where the numerator is nonzero mod P at
-    a point on the root's hyperplane; its results are those of trial division."""
+    """_cancel settles a numerator of degree at most 1 from its keys, and
+    skips a trial division where one of higher degree is nonzero mod P at a
+    point on the root's hyperplane; its results are those of trial division."""
+
+    def test_prime(self):
+        assert 6 < P < 1 << 30  # above every root coefficient, one 30-bit digit
+        assert all(P % d for d in range(2, 1 << 15))  # 2^15 squared exceeds P
 
     @pytest.mark.parametrize("system", ["a3", "e6", "e7", "e8"])
     def test_points_lie_on_their_hyperplanes(self, system):
@@ -512,6 +531,64 @@ class TestCancelPreTest:
             cancels += len(got.den) < len(den)
             kept += bool(got.den)
         assert cancels >= 50 and kept >= 50
+
+
+    @pytest.mark.parametrize("system", ["a3", "e6", "e7", "e8"])
+    def test_constant_has_no_root_factor(self, request, system, evaluations):
+        rs = request.getfixturevalue(system)
+        nroots = len(rs.positive_roots)
+        rng = random.Random(47)
+        for c in (1, -1, 2, -6, 720):
+            num = MPoly.const(rs.rank, c)
+            den = tuple(sorted(rng.sample(range(nroots), 3)))
+            for candidates in (set(den), den[:1], range(nroots)):
+                assert _cancel(rs, num, den, candidates) == RatFn(rs, num, den)
+                assert _cancel(rs, num, den, candidates) == cancel_by_trial_division(
+                    rs, num, den, candidates)
+        assert not evaluations
+
+    @pytest.mark.parametrize("system", ["a3", "e6", "e7", "e8"])
+    def test_multiple_of_a_root_cancels_that_root_alone(self, request, system, evaluations):
+        # E8's roots have coefficients up to 6, so a multiple's gcd is no coefficient
+        rs = request.getfixturevalue(system)
+        nroots = len(rs.positive_roots)
+        for k, beta in enumerate(rs.positive_roots):
+            form = root_linear_form(rs, beta)
+            other = (k + 1) % nroots
+            for c in (1, -1, 2, -2, 6, -6):
+                num = MPoly.const(rs.rank, c) * form
+                assert divide_by_linear(num, form) == (MPoly.const(rs.rank, c), MPoly.zero(rs.rank))
+                assert _cancel(rs, num, (k,), (k,)) == RatFn(rs, MPoly.const(rs.rank, c), ())
+                for den, candidates in (((k, k), (k,)), ((k, other), {k, other}),
+                                        ((other,), (other,)), ((k,), ())):
+                    assert _cancel(rs, num, den, candidates) == cancel_by_trial_division(
+                        rs, num, den, candidates)
+        assert not evaluations
+
+    @pytest.mark.parametrize("system", ["a3", "e6", "e8"])
+    def test_linear_form_off_the_roots_cancels_nothing(self, request, system, evaluations):
+        rs = request.getfixturevalue(system)
+        a1, a2 = MPoly.var(rs.rank, 1), MPoly.var(rs.rank, 2)
+        one = MPoly.const(rs.rank, 1)
+        two = MPoly.const(rs.rank, 2)
+        every = tuple(range(len(rs.positive_roots)))
+        for num in (a1 - a2, a1 + two * a2, two * a1 - two * a2, a1 + one, one - a2):
+            assert _cancel(rs, num, every, every) == RatFn(rs, num, every)
+            for k in every:
+                form = root_linear_form(rs, rs.positive_roots[k])
+                assert not divide_by_linear(num, form)[1].is_zero()
+        assert not evaluations
+
+    def test_quotient_of_degree_one_is_not_evaluated(self, e6, evaluations):
+        # (a1 + a3) * a2 * 3 over both roots: the first division leaves a
+        # linear form, which the keys settle
+        k1, k2 = e6.index_of_b[(1, 0, 1, 0, 0, 0)], e6.index_of_b[(0, 1, 0, 0, 0, 0)]
+        form1 = root_linear_form(e6, e6.positive_roots[k1])
+        form2 = root_linear_form(e6, e6.positive_roots[k2])
+        num = MPoly.const(6, 3) * form1 * form2
+        for order in ((k1, k2), (k2, k1)):
+            assert _cancel(e6, num, (k1, k2), order) == RatFn(e6, MPoly.const(6, 3), ())
+        assert len(evaluations) == 2 and all(p.degree == 2 for p in evaluations)
 
 
 class TestMerge:
